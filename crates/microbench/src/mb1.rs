@@ -274,6 +274,39 @@ mod tests {
     }
 
     #[test]
+    fn kernel_replays_at_most_three_of_its_passes() {
+        use icomm_models::layout::GPU_PARTITION_BASE;
+        use icomm_soc::hierarchy::MemSpace;
+        use icomm_soc::traffic::replay_counts;
+
+        let mb1 = PeakCacheThroughput::new();
+        for device in DeviceProfile::extended_boards() {
+            let workload = mb1.workload(&device);
+            let Pattern::Sequence(parts) = &workload.gpu.shared_accesses else {
+                panic!("MB1's kernel is a sequence of sweeps and result writes");
+            };
+            let (sweeps, writes) = (&parts[0], &parts[1]);
+            let Pattern::Repeat { body, times: 64 } = sweeps else {
+                panic!("MB1 sweeps 64 times: {sweeps:?}");
+            };
+            for space in [MemSpace::Cached, MemSpace::Pinned] {
+                let mut soc = Soc::new(device.clone());
+                let before = replay_counts();
+                let kernel = workload.gpu.run(&mut soc, GPU_PARTITION_BASE, space);
+                let after = replay_counts();
+                let simulated = after.simulated - before.simulated;
+                assert_eq!(kernel.transactions, workload.gpu.shared_accesses.len());
+                assert!(
+                    simulated <= 3 * body.len() + writes.len(),
+                    "{} {space:?}: {simulated} requests simulated, a pass is {}",
+                    device.name,
+                    body.len()
+                );
+            }
+        }
+    }
+
+    #[test]
     fn tx2_zc_cpu_routine_slower() {
         // TX2 disables the CPU cache on pinned buffers, so even the
         // register-hot CPU routine pays for its single-address traffic.

@@ -20,6 +20,7 @@ use icomm_models::zero_copy::ZeroCopy;
 use icomm_models::{model_for, CpuPhase, GpuPhase, RunReport, Workload};
 use icomm_soc::cache::AccessKind;
 use icomm_soc::cpu::{CpuOpClass, OpCount};
+use icomm_soc::hierarchy::MemSpace;
 use icomm_soc::units::ByteSize;
 use icomm_soc::{DeviceProfile, Soc};
 use icomm_trace::Pattern;
@@ -149,11 +150,7 @@ impl OverlapProbe {
         // are balanced in that configuration (the paper overlaps them
         // "perfectly", which requires comparable runtimes under ZC).
         let mut probe_soc = Soc::new(device.clone());
-        let kernel_probe = probe_soc.run_kernel(
-            gpu.compute_work,
-            gpu.shared_accesses
-                .requests(icomm_soc::hierarchy::MemSpace::Pinned),
-        );
+        let kernel_probe = gpu.run(&mut probe_soc, 0, MemSpace::Pinned);
 
         // CPU probe: cost of producing one slice (linear writes + flops).
         let slice = (bytes / 64).max(4096);
@@ -164,9 +161,9 @@ impl OverlapProbe {
         };
         let flops_per_byte = 2;
         let mut cpu_soc = Soc::new(device.clone());
-        let cpu_probe = cpu_soc.run_cpu_task(
+        let cpu_probe = cpu_soc.run_cpu_task_with(
             &[OpCount::new(CpuOpClass::FpMulAdd, slice * flops_per_byte)],
-            cpu_probe_pattern.requests(icomm_soc::hierarchy::MemSpace::Cached),
+            |port| cpu_probe_pattern.play(0, MemSpace::Cached, port),
         );
 
         // Scale the CPU slice so cpu_time ~= kernel_time.

@@ -24,9 +24,7 @@ use icomm_soc::hierarchy::MemSpace;
 use icomm_soc::units::Picos;
 use icomm_soc::Soc;
 
-use crate::layout::{
-    rebase, CPU_PARTITION_BASE, CPU_PRIVATE_BASE, GPU_PARTITION_BASE, GPU_PRIVATE_BASE,
-};
+use crate::layout::{CPU_PARTITION_BASE, GPU_PARTITION_BASE};
 use crate::model::{CommModel, CommModelKind};
 use crate::report::RunReport;
 use crate::workload::Workload;
@@ -81,16 +79,7 @@ impl CommModel for DoubleBufferedCopy {
 
         for _ in 0..workload.iterations {
             // Measure the same components as synchronous SC.
-            let cpu_reqs = rebase(
-                workload.cpu.shared_accesses.requests(MemSpace::Cached),
-                CPU_PARTITION_BASE,
-            );
-            let cpu_result = if let Some(private) = &workload.cpu.private_accesses {
-                let private_reqs = rebase(private.requests(MemSpace::Cached), CPU_PRIVATE_BASE);
-                soc.run_cpu_task(&workload.cpu.ops, cpu_reqs.chain(private_reqs))
-            } else {
-                soc.run_cpu_task(&workload.cpu.ops, cpu_reqs)
-            };
+            let cpu_result = workload.cpu.run(soc, CPU_PARTITION_BASE, MemSpace::Cached);
             cpu_time += cpu_result.time;
 
             let mut iter_copy = Picos::ZERO;
@@ -103,16 +92,7 @@ impl CommModel for DoubleBufferedCopy {
                 copy_occupancy += h2d.dram_occupancy;
             }
 
-            let gpu_reqs = rebase(
-                workload.gpu.shared_accesses.requests(MemSpace::Cached),
-                GPU_PARTITION_BASE,
-            );
-            let kernel = if let Some(private) = &workload.gpu.private_accesses {
-                let private_reqs = rebase(private.requests(MemSpace::Cached), GPU_PRIVATE_BASE);
-                soc.run_kernel(workload.gpu.compute_work, gpu_reqs.chain(private_reqs))
-            } else {
-                soc.run_kernel(workload.gpu.compute_work, gpu_reqs)
-            };
+            let kernel = workload.gpu.run(soc, GPU_PARTITION_BASE, MemSpace::Cached);
             kernel_time += kernel.time;
 
             if workload.bytes_from_gpu.as_u64() > 0 {

@@ -22,7 +22,7 @@ use icomm_soc::hierarchy::MemSpace;
 use icomm_soc::units::{ByteSize, Picos};
 use icomm_soc::Soc;
 
-use crate::layout::{rebase, CPU_PRIVATE_BASE, GPU_PRIVATE_BASE, UNIFIED_BASE};
+use crate::layout::UNIFIED_BASE;
 use crate::model::{CommModel, CommModelKind};
 use crate::report::RunReport;
 use crate::unified_memory::UnifiedMemory;
@@ -82,31 +82,13 @@ impl CommModel for CoherentUpm {
         for _ in 0..workload.iterations {
             // 1. CPU works on the shared allocation through its caches;
             //    the fabric keeps the GPU's view coherent, so no flush.
-            let cpu_reqs = rebase(
-                workload.cpu.shared_accesses.requests(MemSpace::Upm),
-                UNIFIED_BASE,
-            );
-            let cpu_result = if let Some(private) = &workload.cpu.private_accesses {
-                let private_reqs = rebase(private.requests(MemSpace::Cached), CPU_PRIVATE_BASE);
-                soc.run_cpu_task(&workload.cpu.ops, cpu_reqs.chain(private_reqs))
-            } else {
-                soc.run_cpu_task(&workload.cpu.ops, cpu_reqs)
-            };
+            let cpu_result = workload.cpu.run(soc, UNIFIED_BASE, MemSpace::Upm);
             cpu_time += cpu_result.time;
 
             // 2. Kernel reads the same physical pages; misses fill over
             //    the coherent fabric (remote hop + TLB walk are folded
             //    into the per-fill extra installed by configure_upm).
-            let gpu_reqs = rebase(
-                workload.gpu.shared_accesses.requests(MemSpace::Upm),
-                UNIFIED_BASE,
-            );
-            let kernel = if let Some(private) = &workload.gpu.private_accesses {
-                let private_reqs = rebase(private.requests(MemSpace::Cached), GPU_PRIVATE_BASE);
-                soc.run_kernel(workload.gpu.compute_work, gpu_reqs.chain(private_reqs))
-            } else {
-                soc.run_kernel(workload.gpu.compute_work, gpu_reqs)
-            };
+            let kernel = workload.gpu.run(soc, UNIFIED_BASE, MemSpace::Upm);
             kernel_time += kernel.time;
 
             total_time += cpu_result.time + kernel.time;

@@ -16,7 +16,7 @@ use icomm_soc::hierarchy::MemSpace;
 use icomm_soc::units::{Bandwidth, ByteSize, Picos};
 use icomm_soc::Soc;
 
-use crate::layout::{rebase, CPU_PRIVATE_BASE, GPU_PRIVATE_BASE, UNIFIED_BASE};
+use crate::layout::UNIFIED_BASE;
 use crate::model::{CommModel, CommModelKind};
 use crate::report::RunReport;
 use crate::workload::Workload;
@@ -82,16 +82,7 @@ impl CommModel for UnifiedMemory {
 
         for _ in 0..workload.iterations {
             // 1. CPU works on the managed allocation through its caches.
-            let cpu_reqs = rebase(
-                workload.cpu.shared_accesses.requests(MemSpace::Cached),
-                UNIFIED_BASE,
-            );
-            let cpu_result = if let Some(private) = &workload.cpu.private_accesses {
-                let private_reqs = rebase(private.requests(MemSpace::Cached), CPU_PRIVATE_BASE);
-                soc.run_cpu_task(&workload.cpu.ops, cpu_reqs.chain(private_reqs))
-            } else {
-                soc.run_cpu_task(&workload.cpu.ops, cpu_reqs)
-            };
+            let cpu_result = workload.cpu.run(soc, UNIFIED_BASE, MemSpace::Cached);
             cpu_time += cpu_result.time;
 
             // 2. Driver migrates CPU-resident pages to the GPU half.
@@ -104,16 +95,7 @@ impl CommModel for UnifiedMemory {
             soc.charge_cpu_overhead(um.kernel_overhead);
 
             // 3. Kernel works on the managed allocation through GPU caches.
-            let gpu_reqs = rebase(
-                workload.gpu.shared_accesses.requests(MemSpace::Cached),
-                UNIFIED_BASE,
-            );
-            let kernel = if let Some(private) = &workload.gpu.private_accesses {
-                let private_reqs = rebase(private.requests(MemSpace::Cached), GPU_PRIVATE_BASE);
-                soc.run_kernel(workload.gpu.compute_work, gpu_reqs.chain(private_reqs))
-            } else {
-                soc.run_kernel(workload.gpu.compute_work, gpu_reqs)
-            };
+            let kernel = workload.gpu.run(soc, UNIFIED_BASE, MemSpace::Cached);
             kernel_time += kernel.time;
 
             // 4. Results fault back to the CPU on first touch.

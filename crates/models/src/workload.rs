@@ -10,9 +10,14 @@
 
 use serde::{Deserialize, Serialize};
 
-use icomm_soc::cpu::OpCount;
+use icomm_soc::cpu::{CpuRunResult, OpCount};
+use icomm_soc::gpu::KernelResult;
+use icomm_soc::hierarchy::MemSpace;
 use icomm_soc::units::ByteSize;
+use icomm_soc::Soc;
 use icomm_trace::Pattern;
+
+use crate::layout::{CPU_PRIVATE_BASE, GPU_PRIVATE_BASE};
 
 /// The CPU side of one iteration.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -34,6 +39,19 @@ impl CpuPhase {
             private_accesses: None,
         }
     }
+
+    /// Runs the phase as one CPU task: the shared accesses at
+    /// `shared_base` in `space` (where the communication model placed the
+    /// buffer), then the private ones, always cached, at
+    /// [`CPU_PRIVATE_BASE`].
+    pub fn run(&self, soc: &mut Soc, shared_base: u64, space: MemSpace) -> CpuRunResult {
+        soc.run_cpu_task_with(&self.ops, |port| {
+            self.shared_accesses.play(shared_base, space, port);
+            if let Some(private) = &self.private_accesses {
+                private.play(CPU_PRIVATE_BASE, MemSpace::Cached, port);
+            }
+        })
+    }
 }
 
 /// The GPU side of one iteration.
@@ -45,6 +63,20 @@ pub struct GpuPhase {
     pub shared_accesses: Pattern,
     /// Accesses to GPU-private data (always cacheable).
     pub private_accesses: Option<Pattern>,
+}
+
+impl GpuPhase {
+    /// Launches the phase as one kernel: the shared accesses at
+    /// `shared_base` in `space`, then the private ones, always cached, at
+    /// [`GPU_PRIVATE_BASE`].
+    pub fn run(&self, soc: &mut Soc, shared_base: u64, space: MemSpace) -> KernelResult {
+        soc.run_kernel_with(self.compute_work, |port| {
+            self.shared_accesses.play(shared_base, space, port);
+            if let Some(private) = &self.private_accesses {
+                private.play(GPU_PRIVATE_BASE, MemSpace::Cached, port);
+            }
+        })
+    }
 }
 
 /// A complete application workload.

@@ -18,7 +18,7 @@ use icomm_soc::hierarchy::MemSpace;
 use icomm_soc::units::Picos;
 use icomm_soc::Soc;
 
-use crate::layout::{rebase, CPU_PRIVATE_BASE, GPU_PRIVATE_BASE, PINNED_BASE};
+use crate::layout::{rebase, PINNED_BASE};
 use crate::model::{CommModel, CommModelKind};
 use crate::overlap::{overlapped_wall, OverlapInputs};
 use crate::report::RunReport;
@@ -144,29 +144,11 @@ impl CommModel for ZeroCopy {
                 continue;
             }
             // CPU half: shared accesses go to the pinned region.
-            let cpu_reqs = rebase(
-                workload.cpu.shared_accesses.requests(MemSpace::Pinned),
-                PINNED_BASE,
-            );
-            let cpu_result = if let Some(private) = &workload.cpu.private_accesses {
-                let private_reqs = rebase(private.requests(MemSpace::Cached), CPU_PRIVATE_BASE);
-                soc.run_cpu_task(&workload.cpu.ops, cpu_reqs.chain(private_reqs))
-            } else {
-                soc.run_cpu_task(&workload.cpu.ops, cpu_reqs)
-            };
+            let cpu_result = workload.cpu.run(soc, PINNED_BASE, MemSpace::Pinned);
             cpu_time += cpu_result.time;
 
             // GPU half: kernel reads/writes the pinned region directly.
-            let gpu_reqs = rebase(
-                workload.gpu.shared_accesses.requests(MemSpace::Pinned),
-                PINNED_BASE,
-            );
-            let kernel = if let Some(private) = &workload.gpu.private_accesses {
-                let private_reqs = rebase(private.requests(MemSpace::Cached), GPU_PRIVATE_BASE);
-                soc.run_kernel(workload.gpu.compute_work, gpu_reqs.chain(private_reqs))
-            } else {
-                soc.run_kernel(workload.gpu.compute_work, gpu_reqs)
-            };
+            let kernel = workload.gpu.run(soc, PINNED_BASE, MemSpace::Pinned);
             kernel_time += kernel.time;
 
             if workload.overlappable && self.allow_overlap {

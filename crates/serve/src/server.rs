@@ -191,10 +191,13 @@ fn accept_one(
         let mut stream = stream;
         let refusal = TuneResponse::failure(0, "server at connection capacity".to_string());
         if let Ok(json) = icomm_persist::to_string(&refusal) {
-            let _ = writeln!(stream, "{json}");
+            let _ = write_line(&mut stream, json);
         }
         return;
     }
+    // Replies are whole lines written at once; without this, Nagle holds
+    // each one until the client ACKs the previous segment.
+    let _ = stream.set_nodelay(true);
     let Ok(peer) = stream.try_clone() else {
         // Cannot keep a stop-handle for this connection: drop it rather
         // than leak an uncloseable handler thread.
@@ -217,6 +220,14 @@ fn accept_one(
             drop(peer);
         }
     }
+}
+
+/// Writes `json` and its newline with a single `write_all`, so a reply
+/// never leaves as a body segment followed by a lone newline that waits
+/// on the client's delayed ACK.
+fn write_line(writer: &mut impl Write, mut json: String) -> std::io::Result<()> {
+    json.push('\n');
+    writer.write_all(json.as_bytes())
 }
 
 /// One request line, read under the transport limits.
@@ -295,9 +306,7 @@ fn handle_connection(stream: TcpStream, service: &TuningService, config: &Server
         let Ok(json) = icomm_persist::to_string(response) else {
             return false;
         };
-        writeln!(writer, "{json}")
-            .and_then(|()| writer.flush())
-            .is_ok()
+        write_line(writer, json).is_ok()
     };
     loop {
         let line = match read_bounded_line(&mut reader, config.max_line_bytes) {
@@ -327,11 +336,7 @@ fn handle_connection(stream: TcpStream, service: &TuningService, config: &Server
             Err(_) if icomm_persist::from_str::<StatsQuery>(&line).is_ok() => {
                 let report = StatsReport::from_snapshot(&service.metrics());
                 let ok = icomm_persist::to_string(&report)
-                    .map(|json| {
-                        writeln!(writer, "{json}")
-                            .and_then(|()| writer.flush())
-                            .is_ok()
-                    })
+                    .map(|json| write_line(&mut writer, json).is_ok())
                     .unwrap_or(false);
                 if !ok {
                     break;
@@ -375,6 +380,35 @@ mod tests {
             .take(lines.len())
             .map(|l| icomm_persist::from_str(&l.unwrap()).unwrap())
             .collect()
+    }
+
+    #[test]
+    fn each_reply_is_one_write() {
+        /// Counts `write` calls; accepts every byte offered.
+        #[derive(Default)]
+        struct CountingWriter {
+            writes: usize,
+            bytes: Vec<u8>,
+        }
+        impl Write for CountingWriter {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.writes += 1;
+                self.bytes.extend_from_slice(buf);
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+
+        let mut sink = CountingWriter::default();
+        let response = TuneResponse::failure(7, "no such board".to_string());
+        let json = icomm_persist::to_string(&response).unwrap();
+        write_line(&mut sink, json.clone()).unwrap();
+        assert_eq!(sink.writes, 1);
+        assert_eq!(sink.bytes, format!("{json}\n").into_bytes());
+        write_line(&mut sink, "{\"stats\":1}".to_string()).unwrap();
+        assert_eq!(sink.writes, 2);
     }
 
     #[test]

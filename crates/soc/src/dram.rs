@@ -88,6 +88,9 @@ pub struct DramCost {
 pub struct Dram {
     config: DramConfig,
     stats: DramStats,
+    /// The last `(bytes, occupancy)` computed: a stream's transactions
+    /// share one size, so this spares a division per transaction.
+    last_occupancy: (u64, Picos),
 }
 
 impl Dram {
@@ -96,6 +99,7 @@ impl Dram {
         Dram {
             config,
             stats: DramStats::default(),
+            last_occupancy: (0, Picos::ZERO),
         }
     }
 
@@ -114,14 +118,33 @@ impl Dram {
         self.stats = DramStats::default();
     }
 
+    /// Adds `times` copies of `delta` to the counters.
+    pub(crate) fn add_stats(&mut self, delta: &DramStats, times: u64) {
+        self.stats.add_scaled(delta, times);
+    }
+
     fn transfer(&mut self, bytes: ByteSize, is_read: bool) -> DramCost {
-        let occupancy = self.config.peak_bandwidth.transfer_time(bytes);
+        if self.last_occupancy.0 != bytes.as_u64() {
+            let occupancy = self.config.peak_bandwidth.transfer_time(bytes);
+            self.last_occupancy = (bytes.as_u64(), occupancy);
+        }
+        self.transfer_timed(bytes.as_u64(), self.last_occupancy.1, is_read)
+    }
+
+    /// Charges one transaction of `bytes` whose occupancy the caller has
+    /// already computed (the hierarchy precomputes it per line size).
+    pub(crate) fn transfer_timed(
+        &mut self,
+        bytes: u64,
+        occupancy: Picos,
+        is_read: bool,
+    ) -> DramCost {
         let latency = self.config.access_latency + occupancy;
         self.stats.transactions += 1;
         if is_read {
-            self.stats.bytes_read += bytes.as_u64();
+            self.stats.bytes_read += bytes;
         } else {
-            self.stats.bytes_written += bytes.as_u64();
+            self.stats.bytes_written += bytes;
         }
         self.stats.busy_time += occupancy;
         DramCost { latency, occupancy }

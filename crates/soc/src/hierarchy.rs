@@ -21,6 +21,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{AccessKind, Cache, CacheGeometry, CacheOutcome};
 use crate::dram::{Dram, DramConfig};
+use crate::stats::{CacheStats, DramStats};
 use crate::units::{Bandwidth, ByteSize, Picos};
 
 /// A processing element that issues memory traffic.
@@ -156,6 +157,59 @@ pub struct MemorySystem {
     upm_fill_extra_cpu: Picos,
     /// Same, for GPU fills.
     upm_fill_extra_gpu: Picos,
+    /// Per-line constants of the CPU's cached path.
+    cpu_path: LinePath,
+    /// Per-line constants of the GPU's cached path.
+    gpu_path: LinePath,
+    /// Per-line constants of I/O-coherent GPU snoops into the CPU LLC.
+    snoop_path: LinePath,
+}
+
+/// Constants of moving one line on a path, computed once per hierarchy
+/// instead of once per access.
+#[derive(Debug, Clone, Copy)]
+struct LinePath {
+    line_bytes: u64,
+    /// Occupancy of the LLC data array the path goes through.
+    llc_line: Picos,
+    /// Occupancy of the DRAM channel.
+    dram_line: Picos,
+}
+
+impl LinePath {
+    fn new(line_bytes: u32, llc_bandwidth: Bandwidth, dram: &DramConfig) -> Self {
+        let bytes = ByteSize(line_bytes as u64);
+        LinePath {
+            line_bytes: line_bytes as u64,
+            llc_line: llc_bandwidth.transfer_time(bytes),
+            dram_line: dram.peak_bandwidth.transfer_time(bytes),
+        }
+    }
+}
+
+/// Every counter the hierarchy keeps: its four caches' and the DRAM's.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct HierarchyCounters {
+    caches: [CacheStats; 4],
+    dram: DramStats,
+}
+
+impl HierarchyCounters {
+    pub(crate) fn since(&self, earlier: &HierarchyCounters) -> HierarchyCounters {
+        let mut caches = self.caches;
+        for (cache, before) in caches.iter_mut().zip(&earlier.caches) {
+            *cache = cache.delta(before);
+        }
+        HierarchyCounters {
+            caches,
+            dram: self.dram.delta(&earlier.dram),
+        }
+    }
+
+    /// Lines filled at any level.
+    pub(crate) fn fills(&self) -> u64 {
+        self.caches.iter().map(|c| c.fills).sum()
+    }
 }
 
 impl MemorySystem {
@@ -178,7 +232,61 @@ impl MemorySystem {
             flush_line_overhead,
             upm_fill_extra_cpu: Picos::ZERO,
             upm_fill_extra_gpu: Picos::ZERO,
+            cpu_path: LinePath::new(layout.cpu_l1.line_bytes, latencies.cpu_llc_bandwidth, &dram),
+            gpu_path: LinePath::new(layout.gpu_l1.line_bytes, latencies.gpu_llc_bandwidth, &dram),
+            snoop_path: LinePath::new(
+                layout.cpu_llc.line_bytes,
+                latencies.cpu_llc_bandwidth,
+                &dram,
+            ),
         }
+    }
+
+    fn caches_mut(&mut self) -> [&mut Cache; 4] {
+        [
+            &mut self.cpu_l1,
+            &mut self.cpu_llc,
+            &mut self.gpu_l1,
+            &mut self.gpu_llc,
+        ]
+    }
+
+    pub(crate) fn counters(&self) -> HierarchyCounters {
+        HierarchyCounters {
+            caches: [
+                *self.cpu_l1.stats(),
+                *self.cpu_llc.stats(),
+                *self.gpu_l1.stats(),
+                *self.gpu_llc.stats(),
+            ],
+            dram: *self.dram.stats(),
+        }
+    }
+
+    /// Adds `times` copies of `delta` to every counter.
+    pub(crate) fn add_counters(&mut self, delta: &HierarchyCounters, times: u64) {
+        for (cache, stats) in self.caches_mut().into_iter().zip(&delta.caches) {
+            cache.add_stats(stats, times);
+        }
+        self.dram.add_stats(&delta.dram, times);
+    }
+
+    /// Opens a watch on every cache (see [`Cache::begin_watch`]).
+    pub(crate) fn begin_watch(&mut self) {
+        for cache in self.caches_mut() {
+            cache.begin_watch();
+        }
+    }
+
+    /// Closes the innermost watch on every cache and returns whether the
+    /// whole hierarchy is in the state it was in when the watch opened.
+    pub(crate) fn end_watch(&mut self) -> bool {
+        let mut unchanged = true;
+        for cache in self.caches_mut() {
+            // Every cache closes its watch, even after one has changed.
+            unchanged &= cache.end_watch();
+        }
+        unchanged
     }
 
     /// Configures the per-fill extra charged on [`MemSpace::Upm`]
@@ -230,14 +338,6 @@ impl MemorySystem {
     /// Mutable access to the DRAM controller (copy engine streaming).
     pub fn dram_mut(&mut self) -> &mut Dram {
         &mut self.dram
-    }
-
-    fn llc_occ(&self, agent: Agent, bytes: u64) -> Picos {
-        let bw = match agent {
-            Agent::Cpu | Agent::CopyEngine => self.latencies.cpu_llc_bandwidth,
-            Agent::Gpu => self.latencies.gpu_llc_bandwidth,
-        };
-        bw.transfer_time(ByteSize(bytes))
     }
 
     /// Issues one transaction of `bytes` at `addr` from `agent` against
@@ -306,41 +406,42 @@ impl MemorySystem {
         bytes: u32,
         fill_extra: Picos,
     ) -> AccessCost {
-        let (l1_hit, llc_hit) = match agent {
-            Agent::Cpu => (self.latencies.cpu_l1_hit, self.latencies.cpu_llc_hit),
-            Agent::Gpu => (self.latencies.gpu_l1_hit, self.latencies.gpu_llc_hit),
-            Agent::CopyEngine => (self.latencies.cpu_llc_hit, self.latencies.cpu_llc_hit),
+        let line_bytes = match agent {
+            Agent::Gpu => self.gpu_path.line_bytes,
+            _ => self.cpu_path.line_bytes,
         };
-        let line_bytes = self.cache(agent, 1).geometry().line_bytes as u64;
         let mut total = AccessCost::default();
-        let start = addr;
         let end = addr as u128 + bytes as u128;
-        let mut line_addr = start & !(line_bytes - 1);
+        let mut line_addr = addr & !(line_bytes - 1);
         while (line_addr as u128) < end {
-            let cost = self.cached_line_access(
-                agent, line_addr, kind, l1_hit, llc_hit, line_bytes, fill_extra,
-            );
-            total.accumulate(cost);
+            total.accumulate(self.cached_line_access(agent, line_addr, kind, fill_extra));
             line_addr += line_bytes;
         }
         total
     }
 
-    #[allow(clippy::too_many_arguments)]
     fn cached_line_access(
         &mut self,
         agent: Agent,
         line_addr: u64,
         kind: AccessKind,
-        l1_hit: Picos,
-        llc_hit: Picos,
-        line_bytes: u64,
         fill_extra: Picos,
     ) -> AccessCost {
-        let llc_occ_line = self.llc_occ(agent, line_bytes);
-        let (l1, llc) = match agent {
-            Agent::Gpu => (&mut self.gpu_l1, &mut self.gpu_llc),
-            _ => (&mut self.cpu_l1, &mut self.cpu_llc),
+        let (l1, llc, path, l1_hit, llc_hit) = match agent {
+            Agent::Gpu => (
+                &mut self.gpu_l1,
+                &mut self.gpu_llc,
+                self.gpu_path,
+                self.latencies.gpu_l1_hit,
+                self.latencies.gpu_llc_hit,
+            ),
+            _ => (
+                &mut self.cpu_l1,
+                &mut self.cpu_llc,
+                self.cpu_path,
+                self.latencies.cpu_l1_hit,
+                self.latencies.cpu_llc_hit,
+            ),
         };
         let mut cost = AccessCost {
             latency: l1_hit,
@@ -353,7 +454,7 @@ impl MemorySystem {
                 if victim_writeback {
                     // Dirty L1 victims land in the LLC; model the array
                     // occupancy but keep it off the DRAM channel.
-                    cost.llc_occupancy += llc_occ_line;
+                    cost.llc_occupancy += path.llc_line;
                 }
                 true
             }
@@ -365,27 +466,31 @@ impl MemorySystem {
 
         // L1 missed (or is disabled): consult the LLC.
         cost.latency = llc_hit;
-        cost.llc_occupancy += llc_occ_line;
+        cost.llc_occupancy += path.llc_line;
         let llc_out = llc.access(line_addr, kind);
         let llc_missed = match llc_out {
             CacheOutcome::Hit => false,
             CacheOutcome::Miss { victim_writeback } => {
                 if victim_writeback {
-                    let wb = self.dram.write(ByteSize(line_bytes));
+                    let wb = self
+                        .dram
+                        .transfer_timed(path.line_bytes, path.dram_line, false);
                     // Writebacks are posted; they consume channel occupancy
                     // but do not stall the agent.
                     cost.dram_occupancy += wb.occupancy;
-                    cost.dram_bytes += line_bytes;
+                    cost.dram_bytes += path.line_bytes;
                 }
                 true
             }
             CacheOutcome::Bypass => true,
         };
         if llc_missed {
-            let fill = self.dram.read(ByteSize(line_bytes));
+            let fill = self
+                .dram
+                .transfer_timed(path.line_bytes, path.dram_line, true);
             cost.latency = llc_hit + fill.latency + fill_extra;
             cost.dram_occupancy += fill.occupancy;
-            cost.dram_bytes += line_bytes;
+            cost.dram_bytes += path.line_bytes;
         }
         cost
     }
@@ -415,7 +520,8 @@ impl MemorySystem {
     /// update the LLC line (keeping it coherent) without DRAM traffic;
     /// misses fall through to DRAM with a coherence-lookup penalty.
     fn snooped_access(&mut self, addr: u64, kind: AccessKind, bytes: u32) -> AccessCost {
-        let line_bytes = self.cpu_llc.geometry().line_bytes as u64;
+        let path = self.snoop_path;
+        let line_bytes = path.line_bytes;
         let mut total = AccessCost::default();
         let end = addr as u128 + bytes as u128;
         let mut line_addr = addr & !(line_bytes - 1);
@@ -425,18 +531,15 @@ impl MemorySystem {
                 let _ = self.cpu_llc.access(line_addr, kind);
                 AccessCost {
                     latency: self.latencies.snoop_hit,
-                    llc_occupancy: self
-                        .latencies
-                        .cpu_llc_bandwidth
-                        .transfer_time(ByteSize(line_bytes)),
+                    llc_occupancy: path.llc_line,
                     dram_occupancy: Picos::ZERO,
                     dram_bytes: 0,
                 }
             } else {
-                let dram_cost = match kind {
-                    AccessKind::Read => self.dram.read(ByteSize(line_bytes)),
-                    AccessKind::Write => self.dram.write(ByteSize(line_bytes)),
-                };
+                let is_read = kind == AccessKind::Read;
+                let dram_cost = self
+                    .dram
+                    .transfer_timed(line_bytes, path.dram_line, is_read);
                 AccessCost {
                     latency: dram_cost.latency + self.latencies.snoop_miss_extra,
                     llc_occupancy: Picos::ZERO,

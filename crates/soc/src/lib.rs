@@ -11,6 +11,9 @@
 //!
 //! - set-associative write-back caches with flush/invalidate maintenance
 //!   and per-level hit/miss/writeback counters ([`cache`]),
+//! - per-(space, kind) cost tallies of each task's traffic, with repeated
+//!   passes charged without replay once they reach a fixed point
+//!   ([`traffic`]),
 //! - a shared DRAM controller with bandwidth and latency bounds ([`dram`]),
 //! - per-device **zero-copy rules**: pinned allocations bypass the GPU
 //!   caches everywhere, bypass the CPU caches on Nano/TX2-class parts, and
@@ -54,6 +57,7 @@ pub mod hierarchy;
 pub mod request;
 pub mod soc;
 pub mod stats;
+pub mod traffic;
 
 pub use icomm_mem::units;
 

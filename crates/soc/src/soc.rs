@@ -8,12 +8,13 @@
 //! derives energy from those counters.
 
 use crate::copy_engine::{run_copy, CopyResult};
-use crate::cpu::{run_cpu_task, CpuRunResult, OpCount};
+use crate::cpu::{run_cpu_task_with, CpuRunResult, OpCount};
 use crate::device::DeviceProfile;
-use crate::gpu::{run_kernel, KernelResult};
+use crate::gpu::{run_kernel_with, KernelResult};
 use crate::hierarchy::{FlushCost, MemorySystem};
 use crate::request::MemRequest;
 use crate::stats::{AgentStats, SocSnapshot};
+use crate::traffic::Port;
 use crate::units::{ByteSize, Energy, Picos};
 
 /// A simulated heterogeneous SoC instance.
@@ -71,8 +72,18 @@ impl Soc {
         ops: &[OpCount],
         requests: impl Iterator<Item = MemRequest>,
     ) -> CpuRunResult {
+        self.run_cpu_task_with(ops, |port| requests.for_each(|req| port.issue(req)))
+    }
+
+    /// Runs a CPU task whose traffic `traffic` issues through a [`Port`]
+    /// and attributes its activity.
+    pub fn run_cpu_task_with(
+        &mut self,
+        ops: &[OpCount],
+        traffic: impl FnOnce(&mut Port<'_>),
+    ) -> CpuRunResult {
         let cpu = self.profile.cpu;
-        let result = run_cpu_task(&mut self.mem, &cpu, ops, requests);
+        let result = run_cpu_task_with(&mut self.mem, &cpu, ops, traffic);
         self.cpu_stats.busy_time += result.time;
         self.cpu_stats.ops_retired += result.ops_retired;
         self.cpu_stats.mem_transactions += result.transactions;
@@ -86,8 +97,20 @@ impl Soc {
         compute_work: u64,
         requests: impl Iterator<Item = MemRequest>,
     ) -> KernelResult {
+        self.run_kernel_with(compute_work, |port| {
+            requests.for_each(|req| port.issue(req))
+        })
+    }
+
+    /// Launches a GPU kernel whose traffic `traffic` issues through a
+    /// [`Port`] and attributes its activity.
+    pub fn run_kernel_with(
+        &mut self,
+        compute_work: u64,
+        traffic: impl FnOnce(&mut Port<'_>),
+    ) -> KernelResult {
         let gpu = self.profile.gpu;
-        let result = run_kernel(&mut self.mem, &gpu, compute_work, requests);
+        let result = run_kernel_with(&mut self.mem, &gpu, compute_work, traffic);
         self.gpu_stats.busy_time += result.time;
         self.gpu_stats.ops_retired += result.ops_retired;
         self.gpu_stats.mem_transactions += result.transactions;

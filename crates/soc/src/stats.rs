@@ -63,6 +63,16 @@ impl CacheStats {
             flushes: self.flushes.saturating_sub(earlier.flushes),
         }
     }
+
+    /// Adds `times` copies of `delta`.
+    pub(crate) fn add_scaled(&mut self, delta: &CacheStats, times: u64) {
+        self.hits += delta.hits * times;
+        self.misses += delta.misses * times;
+        self.fills += delta.fills * times;
+        self.writebacks += delta.writebacks * times;
+        self.bypasses += delta.bypasses * times;
+        self.flushes += delta.flushes * times;
+    }
 }
 
 /// Counters of the DRAM controller.
@@ -92,6 +102,14 @@ impl DramStats {
             transactions: self.transactions.saturating_sub(earlier.transactions),
             busy_time: self.busy_time.saturating_sub(earlier.busy_time),
         }
+    }
+
+    /// Adds `times` copies of `delta`.
+    pub(crate) fn add_scaled(&mut self, delta: &DramStats, times: u64) {
+        self.bytes_read += delta.bytes_read * times;
+        self.bytes_written += delta.bytes_written * times;
+        self.transactions += delta.transactions * times;
+        self.busy_time += delta.busy_time * times;
     }
 }
 

@@ -13,13 +13,15 @@ use icomm_soc::units::ByteSize;
 use icomm_soc::{DeviceProfile, Soc};
 
 /// A deliberately naive reference cache: same geometry semantics,
-/// different implementation (linear scans, explicit recency lists).
+/// different implementation (linear scans, explicit recency lists, and
+/// maintenance that walks every line).
 struct ReferenceCache {
     line_bytes: u64,
     num_sets: u64,
     ways: usize,
-    /// Per set: (tag, dirty), most recently used last.
+    /// Per set: (line address, dirty), most recently used last.
     sets: Vec<Vec<(u64, bool)>>,
+    enabled: bool,
 }
 
 impl ReferenceCache {
@@ -29,18 +31,22 @@ impl ReferenceCache {
             num_sets: geometry.num_sets(),
             ways: geometry.associativity as usize,
             sets: vec![Vec::new(); geometry.num_sets() as usize],
+            enabled: true,
         }
     }
 
-    /// Returns (hit, victim_was_dirty).
-    fn access(&mut self, addr: u64, write: bool) -> (bool, bool) {
+    /// Returns (hit, victim_was_dirty), or `None` when disabled.
+    fn access(&mut self, addr: u64, write: bool) -> Option<(bool, bool)> {
+        if !self.enabled {
+            return None;
+        }
         let line = addr & !(self.line_bytes - 1);
         let set_idx = ((line / self.line_bytes) % self.num_sets) as usize;
         let set = &mut self.sets[set_idx];
         if let Some(pos) = set.iter().position(|&(tag, _)| tag == line) {
             let (tag, dirty) = set.remove(pos);
             set.push((tag, dirty || write));
-            return (true, false);
+            return Some((true, false));
         }
         let mut victim_dirty = false;
         if set.len() == self.ways {
@@ -48,8 +54,109 @@ impl ReferenceCache {
             victim_dirty = dirty;
         }
         set.push((line, write));
-        (false, victim_dirty)
+        Some((false, victim_dirty))
     }
+
+    fn probe(&self, addr: u64) -> bool {
+        let line = addr & !(self.line_bytes - 1);
+        self.enabled && self.sets.iter().flatten().any(|&(tag, _)| tag == line)
+    }
+
+    fn flush_dirty(&mut self) -> u64 {
+        let mut written = 0;
+        for (_, dirty) in self.sets.iter_mut().flatten() {
+            written += *dirty as u64;
+            *dirty = false;
+        }
+        written
+    }
+
+    fn invalidate_all(&mut self) -> u64 {
+        let written = self.dirty_lines();
+        self.sets.iter_mut().for_each(Vec::clear);
+        written
+    }
+
+    fn resident_lines(&self) -> u64 {
+        self.sets.iter().map(|set| set.len() as u64).sum()
+    }
+
+    fn dirty_lines(&self) -> u64 {
+        self.sets
+            .iter()
+            .flatten()
+            .filter(|(_, dirty)| *dirty)
+            .count() as u64
+    }
+}
+
+/// Replays `ops` — `(selector, address, is_write)` — against the cache and
+/// the reference: selectors 0..=15 access, 16 flushes, 17 invalidates,
+/// 18 toggles the enable bit and 19 probes. After every op the outcomes,
+/// counters and resident/dirty line counts must agree, and at the end the
+/// full contents (lines, dirty bits and LRU order of every set).
+fn check_against_reference(geometry: CacheGeometry, ops: &[(u8, u64, bool)]) {
+    let mut cache = Cache::new(geometry);
+    let mut reference = ReferenceCache::new(geometry);
+    let mut ref_stats = icomm_soc::stats::CacheStats::default();
+    for &(op, addr, is_write) in ops {
+        match op {
+            0..=15 => {
+                let kind = if is_write {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                let outcome = cache.access(addr, kind);
+                match reference.access(addr, is_write) {
+                    None => {
+                        ref_stats.bypasses += 1;
+                        assert_eq!(outcome, CacheOutcome::Bypass, "@{addr:#x}");
+                    }
+                    Some((true, _)) => {
+                        ref_stats.hits += 1;
+                        assert_eq!(outcome, CacheOutcome::Hit, "@{addr:#x}");
+                    }
+                    Some((false, victim_writeback)) => {
+                        ref_stats.misses += 1;
+                        ref_stats.fills += 1;
+                        ref_stats.writebacks += victim_writeback as u64;
+                        assert_eq!(
+                            outcome,
+                            CacheOutcome::Miss { victim_writeback },
+                            "@{addr:#x}"
+                        );
+                    }
+                }
+            }
+            16 => {
+                let written = reference.flush_dirty();
+                ref_stats.writebacks += written;
+                ref_stats.flushes += 1;
+                assert_eq!(cache.flush_dirty(), written);
+            }
+            17 => {
+                let written = reference.invalidate_all();
+                ref_stats.writebacks += written;
+                ref_stats.flushes += 1;
+                assert_eq!(cache.invalidate_all(), written);
+            }
+            18 => {
+                reference.enabled = !reference.enabled;
+                cache.set_enabled(reference.enabled);
+            }
+            _ => assert_eq!(cache.probe(addr), reference.probe(addr), "probe @{addr:#x}"),
+        }
+        assert_eq!(*cache.stats(), ref_stats);
+        assert_eq!(cache.resident_lines(), reference.resident_lines());
+        assert_eq!(cache.dirty_lines(), reference.dirty_lines());
+        assert_eq!(cache.is_enabled(), reference.enabled);
+    }
+    assert_eq!(cache.contents(), reference.sets);
+}
+
+fn maintenance_stream(region: u64) -> impl Strategy<Value = Vec<(u8, u64, bool)>> {
+    prop::collection::vec((0u8..20, 0..region, prop::bool::ANY), 1..1500)
 }
 
 fn access_stream() -> impl Strategy<Value = Vec<(u64, bool)>> {
@@ -66,7 +173,8 @@ proptest! {
         for (addr, is_write) in stream {
             let kind = if is_write { AccessKind::Write } else { AccessKind::Read };
             let outcome = cache.access(addr, kind);
-            let (ref_hit, ref_victim_dirty) = reference.access(addr, is_write);
+            let (ref_hit, ref_victim_dirty) =
+                reference.access(addr, is_write).expect("reference cache is enabled");
             match outcome {
                 CacheOutcome::Hit => prop_assert!(ref_hit, "cache hit, reference missed @{addr:#x}"),
                 CacheOutcome::Miss { victim_writeback } => {
@@ -81,6 +189,25 @@ proptest! {
                 CacheOutcome::Bypass => prop_assert!(false, "enabled cache bypassed"),
             }
         }
+    }
+
+    #[test]
+    fn cache_with_maintenance_matches_reference_on_power_of_two_sets(
+        ops in maintenance_stream(32 * 1024),
+    ) {
+        // 16 sets: the set index is a mask.
+        check_against_reference(CacheGeometry::new(ByteSize(4096), 64, 4), &ops);
+    }
+
+    #[test]
+    fn cache_with_maintenance_matches_reference_on_tx2_gpu_l1(
+        ops in maintenance_stream(256 * 1024),
+    ) {
+        // TX2's 48 KiB 4-way GPU L1 has 192 sets: the set index is a
+        // remainder.
+        let geometry = DeviceProfile::jetson_tx2().layout.gpu_l1;
+        prop_assert_eq!(geometry.num_sets(), 192);
+        check_against_reference(geometry, &ops);
     }
 
     #[test]

@@ -10,6 +10,13 @@
 //! requests target cacheable partitions (standard copy / unified memory) or
 //! the pinned zero-copy allocation, which is why [`Pattern::requests`]
 //! takes the [`MemSpace`] as a parameter.
+//!
+//! Tasks and kernels consume patterns through [`Pattern::play`], which
+//! issues the same requests as [`Pattern::requests`] but hands every
+//! [`Pattern::Repeat`] body and [`Pattern::SingleAddress`] run to
+//! [`Port::repeat`], so passes past the hierarchy's fixed point are
+//! charged without being replayed. The iterator remains for callers that
+//! need the requests themselves.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -18,6 +25,7 @@ use serde::{Deserialize, Serialize};
 use icomm_soc::cache::AccessKind;
 use icomm_soc::hierarchy::MemSpace;
 use icomm_soc::request::MemRequest;
+use icomm_soc::traffic::Port;
 
 /// A symbolic description of a memory-request stream.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -110,6 +118,15 @@ fn txns(bytes: u64, txn_bytes: u32) -> u64 {
     }
 }
 
+/// Transaction-sized slots a sparse pattern draws from (at least one).
+fn sparse_slots(region_bytes: u64, txn_bytes: u32) -> u64 {
+    if txn_bytes == 0 {
+        1
+    } else {
+        (region_bytes / txn_bytes as u64).max(1)
+    }
+}
+
 impl Pattern {
     /// Number of requests the pattern will generate.
     pub fn len(&self) -> u64 {
@@ -191,6 +208,102 @@ impl Pattern {
         PatternIter {
             stack: vec![Frame::new(self.clone())],
             space,
+        }
+    }
+
+    /// Issues the pattern's requests through `port`, every address shifted
+    /// by `base` and every request mapped onto `space`: the requests of
+    /// [`Pattern::requests`], in the same order, except that repeated
+    /// passes ([`Pattern::Repeat`] bodies, and [`Pattern::SingleAddress`]
+    /// runs as passes of one request) go through [`Port::repeat`]. Every
+    /// pass replays the same requests — a sparse pattern reseeds its
+    /// generator on each pass — which is what that requires.
+    pub fn play(&self, base: u64, space: MemSpace, port: &mut Port<'_>) {
+        match self {
+            Pattern::Linear {
+                start,
+                bytes,
+                txn_bytes,
+                kind,
+            } => {
+                for index in 0..txns(*bytes, *txn_bytes) {
+                    port.issue(MemRequest {
+                        addr: base + (start + index * *txn_bytes as u64),
+                        bytes: *txn_bytes,
+                        kind: *kind,
+                        space,
+                    });
+                }
+            }
+            Pattern::LinearRmw {
+                start,
+                bytes,
+                txn_bytes,
+            } => {
+                for index in 0..txns(*bytes, *txn_bytes) {
+                    let addr = base + (start + index * *txn_bytes as u64);
+                    port.issue(MemRequest::read(addr, *txn_bytes, space));
+                    port.issue(MemRequest::write(addr, *txn_bytes, space));
+                }
+            }
+            Pattern::Strided {
+                start,
+                count,
+                stride,
+                txn_bytes,
+                kind,
+            } => {
+                for index in 0..*count {
+                    port.issue(MemRequest {
+                        addr: base + (start + index * stride),
+                        bytes: *txn_bytes,
+                        kind: *kind,
+                        space,
+                    });
+                }
+            }
+            Pattern::SingleAddress {
+                addr,
+                count,
+                txn_bytes,
+                kind,
+            } => {
+                let req = MemRequest {
+                    addr: base + addr,
+                    bytes: *txn_bytes,
+                    kind: *kind,
+                    space,
+                };
+                port.repeat(*count, |port| port.issue(req));
+            }
+            Pattern::SparseUniform {
+                start,
+                region_bytes,
+                count,
+                txn_bytes,
+                seed,
+                kind,
+            } => {
+                let slots = sparse_slots(*region_bytes, *txn_bytes);
+                let mut rng = StdRng::seed_from_u64(*seed);
+                for _ in 0..*count {
+                    let slot = rng.gen_range(0..slots);
+                    port.issue(MemRequest {
+                        addr: base + (start + slot * *txn_bytes as u64),
+                        bytes: *txn_bytes,
+                        kind: *kind,
+                        space,
+                    });
+                }
+            }
+            Pattern::Sequence(parts) => {
+                for part in parts {
+                    part.play(base, space, port);
+                }
+            }
+            Pattern::Repeat { body, times } => {
+                port.repeat(*times as u64, |port| body.play(base, space, port));
+            }
         }
     }
 
@@ -361,11 +474,7 @@ impl Iterator for PatternIter {
                         continue;
                     }
                     frame.index += 1;
-                    let slots = if *txn_bytes == 0 {
-                        1
-                    } else {
-                        (region_bytes / *txn_bytes as u64).max(1)
-                    };
+                    let slots = sparse_slots(*region_bytes, *txn_bytes);
                     let start = *start;
                     let txn = *txn_bytes;
                     let kind = *kind;
@@ -379,21 +488,28 @@ impl Iterator for PatternIter {
                         space,
                     });
                 }
+                // Composites expand one child at a time: the frame stays
+                // on the stack and counts the parts (or passes) it has
+                // started.
                 Pattern::Sequence(parts) => {
-                    let parts = parts.clone();
-                    self.stack.pop();
-                    // Push in reverse so the first part is generated first.
-                    for part in parts.into_iter().rev() {
-                        self.stack.push(Frame::new(part));
+                    let next = parts.get(frame.index as usize).cloned();
+                    frame.index += 1;
+                    match next {
+                        Some(part) => self.stack.push(Frame::new(part)),
+                        None => {
+                            self.stack.pop();
+                        }
                     }
                     continue;
                 }
                 Pattern::Repeat { body, times } => {
-                    let body = (**body).clone();
-                    let times = *times;
-                    self.stack.pop();
-                    for _ in 0..times {
-                        self.stack.push(Frame::new(body.clone()));
+                    let next = (frame.index < *times as u64).then(|| (**body).clone());
+                    frame.index += 1;
+                    match next {
+                        Some(pass) => self.stack.push(Frame::new(pass)),
+                        None => {
+                            self.stack.pop();
+                        }
                     }
                     continue;
                 }

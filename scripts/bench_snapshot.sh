@@ -13,15 +13,34 @@
 # the serve capture is wall-clock and the headline there is the *ratio*
 # (binary vs JSON), which is stable even when absolute rps is not.
 #
-# Usage: ./scripts/bench_snapshot.sh [--skip-criterion]
+# With --check, nothing is overwritten: the deterministic captures
+# (fleet, sched, mem, footprint, synth) are regenerated into a temporary
+# directory and compared byte for byte with the committed files, and the
+# script exits non-zero if any differs. It runs no criterion benchmark
+# and no wall-clock serve capture, so it pins the simulator's outputs.
+#
+# Usage: ./scripts/bench_snapshot.sh [--skip-criterion | --check]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
 SKIP_CRITERION=0
-if [[ "${1:-}" == "--skip-criterion" ]]; then
-    SKIP_CRITERION=1
+CHECK=0
+case "${1:-}" in
+    --skip-criterion) SKIP_CRITERION=1 ;;
+    --check) SKIP_CRITERION=1; CHECK=1 ;;
+    "") ;;
+    *) echo "usage: $0 [--skip-criterion | --check]" >&2; exit 2 ;;
+esac
+
+# Where the captures are written: the repository root, or a scratch
+# directory under --check.
+OUT=.
+if [[ "$CHECK" -eq 1 ]]; then
+    OUT="$(mktemp -d)"
+    trap 'rm -rf "$OUT"' EXIT
 fi
+export OUT
 
 echo "==> cargo build --release -p icomm-cli"
 cargo build --release -p icomm-cli
@@ -45,6 +64,7 @@ echo "==> capturing BENCH_fleet.json (seed 7, 256 devices, nano,tx2,xavier)"
 REPORT="$(target/release/icomm fleet nano,tx2,xavier --devices 256 --seed 7 --json)"
 python3 - "$REPORT" <<'EOF'
 import json
+import os
 import sys
 
 report = json.loads(sys.argv[1])
@@ -61,19 +81,20 @@ baseline = {
     "slo_attainment_pct": round(report["slo_attainment_pct"], 1),
     "mean_regret_pct": round(report["mean_regret_pct"], 2),
 }
-with open("BENCH_fleet.json", "w") as f:
+with open(os.path.join(os.environ["OUT"], "BENCH_fleet.json"), "w") as f:
     json.dump(baseline, f, indent=2)
     f.write("\n")
 print(json.dumps(baseline, indent=2))
 EOF
 
-echo "baseline written to BENCH_fleet.json"
+echo "baseline written to $OUT/BENCH_fleet.json"
 
 echo "==> capturing BENCH_sched.json (seed 42, contended mix on tx2, both policies)"
 FIFO="$(target/release/icomm sched tx2 --mix contended --policy fifo --seed 42 --json)"
 DEADLINE="$(target/release/icomm sched tx2 --mix contended --policy deadline --seed 42 --json)"
 python3 - "$FIFO" "$DEADLINE" <<'EOF'
 import json
+import os
 import sys
 
 fifo = json.loads(sys.argv[1])
@@ -97,19 +118,20 @@ baseline = {
     "fifo": summarize(fifo),
     "deadline": summarize(deadline),
 }
-with open("BENCH_sched.json", "w") as f:
+with open(os.path.join(os.environ["OUT"], "BENCH_sched.json"), "w") as f:
     json.dump(baseline, f, indent=2)
     f.write("\n")
 print(json.dumps(baseline, indent=2))
 EOF
 
-echo "baseline written to BENCH_sched.json"
+echo "baseline written to $OUT/BENCH_sched.json"
 
 echo "==> capturing BENCH_footprint.json (seed 42, pressure mix on tx2, stock vs 6 MiB cap)"
 OPEN="$(target/release/icomm sched tx2 --mix pressure --seed 42 --json)"
 CAPPED="$(target/release/icomm sched tx2 --mix pressure --seed 42 --mem-cap 6m --json)"
 python3 - "$OPEN" "$CAPPED" <<'EOF'
 import json
+import os
 import sys
 
 open_report = json.loads(sys.argv[1])
@@ -136,13 +158,13 @@ baseline = {
 }
 if capped["demotions"] == 0:
     sys.exit("the 6 MiB cap no longer binds on the pressure mix; baseline not captured")
-with open("BENCH_footprint.json", "w") as f:
+with open(os.path.join(os.environ["OUT"], "BENCH_footprint.json"), "w") as f:
     json.dump(baseline, f, indent=2)
     f.write("\n")
 print(json.dumps(baseline, indent=2))
 EOF
 
-echo "baseline written to BENCH_footprint.json"
+echo "baseline written to $OUT/BENCH_footprint.json"
 
 echo "==> capturing BENCH_mem.json (UM-vs-UPM crossover, coherent boards x page sizes)"
 MI_4K="$(target/release/icomm tune mi300a-like orb --current um --pages 4k --json)"
@@ -151,6 +173,7 @@ GH_4K="$(target/release/icomm tune gh-like orb --current um --pages 4k --json)"
 GH_2M="$(target/release/icomm tune gh-like orb --current um --pages 2m --json)"
 python3 - "$MI_4K" "$MI_2M" "$GH_4K" "$GH_2M" <<'EOF'
 import json
+import os
 import sys
 
 def summarize(raw):
@@ -169,18 +192,19 @@ baseline = {
     "mi300a_like": {"pages_4k": summarize(sys.argv[1]), "pages_2m": summarize(sys.argv[2])},
     "gh_like": {"pages_4k": summarize(sys.argv[3]), "pages_2m": summarize(sys.argv[4])},
 }
-with open("BENCH_mem.json", "w") as f:
+with open(os.path.join(os.environ["OUT"], "BENCH_mem.json"), "w") as f:
     json.dump(baseline, f, indent=2)
     f.write("\n")
 print(json.dumps(baseline, indent=2))
 EOF
 
-echo "baseline written to BENCH_mem.json"
+echo "baseline written to $OUT/BENCH_mem.json"
 
 echo "==> capturing BENCH_synth.json (seed 42, all boards, full default sweep)"
 SYNTH="$(target/release/icomm synth all --seed 42 --json)"
 python3 - "$SYNTH" <<'EOF'
 import json
+import os
 import sys
 
 report = json.loads(sys.argv[1])
@@ -206,18 +230,33 @@ baseline = {
 }
 if baseline["compression"] < 5.0:
     sys.exit(f"compression {baseline['compression']}x under the 5x floor; baseline not captured")
-with open("BENCH_synth.json", "w") as f:
+with open(os.path.join(os.environ["OUT"], "BENCH_synth.json"), "w") as f:
     json.dump(baseline, f, indent=2)
     f.write("\n")
 print(json.dumps(baseline, indent=2))
 EOF
 
-echo "baseline written to BENCH_synth.json"
+echo "baseline written to $OUT/BENCH_synth.json"
+
+if [[ "$CHECK" -eq 1 ]]; then
+    status=0
+    for name in fleet sched footprint mem synth; do
+        if cmp "$OUT/BENCH_$name.json" "BENCH_$name.json"; then
+            echo "BENCH_$name.json: unchanged"
+        else
+            echo "BENCH_$name.json: differs from the committed capture" >&2
+            diff "BENCH_$name.json" "$OUT/BENCH_$name.json" >&2 || true
+            status=1
+        fi
+    done
+    exit "$status"
+fi
 
 echo "==> capturing BENCH_serve.json (both planes, 2000 requests each, 8 conns, batch 16)"
 SERVE="$(target/release/icomm servebench --requests 2000 --conns 8 --workers 4 --batch 16 --json)"
 python3 - "$SERVE" <<'EOF'
 import json
+import os
 import sys
 
 report = json.loads(sys.argv[1])
@@ -249,7 +288,7 @@ if baseline["speedup"] < 10.0:
         f"WARNING: binary plane only {baseline['speedup']}x over JSON (target >= 10x)",
         file=sys.stderr,
     )
-with open("BENCH_serve.json", "w") as f:
+with open(os.path.join(os.environ["OUT"], "BENCH_serve.json"), "w") as f:
     json.dump(baseline, f, indent=2)
     f.write("\n")
 print(json.dumps(baseline, indent=2))

@@ -265,4 +265,23 @@ for board in tx2 nano; do
     done
 done
 
+echo "==> simulator pins (snapshots, benchmark self-check, held-out onboard digest)"
+# The chaos/fleet/sched/synth stages above compare two runs of this
+# commit. These pin the simulator to committed outputs instead: the
+# deterministic BENCH_*.json captures must regenerate byte for byte, the
+# benchmark's generator checks must pass, and an onboard run on the
+# held-out seed must reproduce the decision and statistics digests in
+# the benchmark's expected.json.
+PIN_TMP="$(mktemp -d)"
+trap 'rm -rf "$CHAOS_TMP" "$FLEET_TMP" "$SCHED_TMP" "$FP_TMP" "$MEM_TMP" "$NET_TMP" "$RES_TMP" "$SYNTH_TMP" "$PIN_TMP"' EXIT
+./scripts/bench_snapshot.sh --check
+bash crates/bench/examples/icomm_benchmark/bench.sh --selfcheck
+bash crates/bench/examples/icomm_benchmark/bench.sh --workload onboard --seed 1042 \
+    >"$PIN_TMP/onboard.txt"
+tail -n 1 "$PIN_TMP/onboard.txt" | grep -q '"correct": true' || {
+    echo "simulator pins: onboard seed 1042 no longer matches its digests" >&2
+    exit 1
+}
+echo "    snapshots byte-identical, self-check passed, onboard seed 1042 correct"
+
 echo "CI gate passed."
