@@ -1,6 +1,7 @@
 //! Argument parsing for the `icomm` CLI (std-only, no clap).
 
 use icomm_models::CommModelKind;
+use icomm_net::WireMode;
 use icomm_soc::{DeviceProfile, PageSize};
 
 /// A parsed CLI invocation.
@@ -95,9 +96,9 @@ pub enum Command {
     Serve {
         /// Listen address.
         addr: String,
-        /// Wire protocol: `json` (line-delimited, thread per connection)
-        /// or `binary` (`icommwire v1` frames on the event-driven plane).
-        wire: String,
+        /// Wire protocol: `json` (one request per line) or `binary`
+        /// (`icommwire v1` frames), both on the event-driven plane.
+        wire: WireMode,
         /// Worker-pool size.
         workers: usize,
         /// Registry snapshot file for warm starts and shutdown persistence.
@@ -108,8 +109,8 @@ pub enum Command {
         stats: bool,
     },
     /// `icomm servebench [--requests N] [--conns N] [--workers N]
-    /// [--batch N] [--hostile] [--json]` — run the JSON and binary
-    /// serving planes side by side over one shared service and report
+    /// [--batch N] [--hostile] [--json]` — run a JSON and a binary
+    /// listener side by side over one shared service and report
     /// throughput, tail latency, decision parity, and (with `--hostile`)
     /// hostile-client survival.
     Servebench {
@@ -121,8 +122,8 @@ pub enum Command {
         workers: usize,
         /// Requests per binary `Batch` frame.
         batch: usize,
-        /// Also fire the hostile binary clients and report the fault
-        /// counters.
+        /// Also fire the hostile clients at both listeners and report the
+        /// fault counters.
         hostile: bool,
         /// Print the report as JSON.
         json: bool,
@@ -165,7 +166,7 @@ pub enum Command {
         /// Tenants co-hosted per served device (1 = single-tenant).
         tenants: usize,
         /// Wire protocol the live-fire stage drives (`json` / `binary`).
-        wire: String,
+        wire: WireMode,
         /// Fault-plan spec for the fleet knobs, e.g.
         /// `none,churn_prob=0.1,poison_prob=0.1,shard_panics=2`.
         faults: String,
@@ -505,7 +506,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
         "experiments" => Ok(Command::Experiments),
         "serve" => {
             let mut addr = "127.0.0.1:7311".to_string();
-            let mut wire = "json".to_string();
+            let mut wire = WireMode::Json;
             let mut options = ServiceOptions::default();
             while let Some(flag) = it.next() {
                 if flag == "--addr" {
@@ -517,14 +518,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                     let value = it
                         .next()
                         .ok_or_else(|| ParseArgsError("--wire needs json|binary".into()))?;
-                    wire = match value.to_ascii_lowercase().as_str() {
-                        "json" | "binary" => value.to_ascii_lowercase(),
-                        other => {
-                            return Err(ParseArgsError(format!(
-                                "unknown wire protocol '{other}' (json|binary)"
-                            )))
-                        }
-                    };
+                    wire = WireMode::parse(&value.to_ascii_lowercase()).map_err(ParseArgsError)?;
                 } else {
                     options.accept(flag, &mut it)?;
                 }
@@ -621,7 +615,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
             let mut rate = 400.0f64;
             let mut seed = 7u64;
             let mut tenants = 1usize;
-            let mut wire = "json".to_string();
+            let mut wire = WireMode::Json;
             let mut faults = "none".to_string();
             let mut mem_cap = None;
             let mut json = false;
@@ -695,14 +689,8 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                         let value = it
                             .next()
                             .ok_or_else(|| ParseArgsError("--wire needs json|binary".into()))?;
-                        match value.to_ascii_lowercase().as_str() {
-                            "json" | "binary" => wire = value.to_ascii_lowercase(),
-                            other => {
-                                return Err(ParseArgsError(format!(
-                                    "unknown wire protocol '{other}' (json|binary)"
-                                )))
-                            }
-                        }
+                        wire =
+                            WireMode::parse(&value.to_ascii_lowercase()).map_err(ParseArgsError)?;
                     }
                     "--faults" => {
                         let value = it.next().ok_or_else(|| {
@@ -1034,18 +1022,19 @@ fleet run per seed on the supervised binary plane and reports survival
 through the fleet pass gate.
 
 `serve` runs the tuning service over TCP (default 127.0.0.1:7311).
-`--wire json` (the default) speaks one JSON request per line with a
-thread per connection; `--wire binary` runs the event-driven
-`icommwire v1` plane — length-prefixed CRC-checked frames, per-core
-shard event loops, batched submission into the worker pool. `batch`
+Both wires run on the same event-driven plane — per-core shard event
+loops, batched submission into the worker pool. `--wire json` (the
+default) speaks one JSON request per line and decides every request;
+`--wire binary` speaks `icommwire v1` length-prefixed CRC-checked
+frames and answers repeats from a shard-local decision cache. `batch`
 answers a file (or stdin) of line-JSON requests in one shot. All modes
 memoize device characterizations in a shared registry; `--registry
 <file>` persists it across runs, `--full` trades latency for the
 full-resolution sweep, and `--stats` reports cache hit rate, queue
 depth, and latency histograms. `servebench` races the two planes over
 one shared service and reports requests/sec, p50/p99, and decision
-parity (`--hostile` also fires malformed-frame clients and reports the
-fault counters).
+parity (`--hostile` also fires malformed-frame and malformed-line
+clients and reports the fault counters).
 
 `fleet` synthesizes a clustered device population over the board mix
 (firmware clusters plus per-unit clock drift), replays a seeded open-loop
@@ -1060,8 +1049,8 @@ characterization and the report gains per-tenant SLO attainment.
 `churn_prob` evicts devices' registry state before their lookup,
 `poison_prob` plants adversarial characterizations the Byzantine-robust
 transfer path must quarantine, and `shard_panics` crashes live-fire
-shard event loops mid-frame (requires `--wire binary`, whose supervised
-plane restarts them). The same seed replays byte-identically, faults
+shard event loops mid-frame (requires `--wire binary`, whose resilient
+client retries the lost requests). The same seed replays byte-identically, faults
 included (`--json` prints only the deterministic report).
 
 `sched` co-schedules a named tenant mix — duo, trio, quad, contended,
@@ -1337,7 +1326,7 @@ mod tests {
             c,
             Command::Serve {
                 addr: "127.0.0.1:7311".into(),
-                wire: "json".into(),
+                wire: WireMode::Json,
                 workers: 4,
                 registry: None,
                 full: false,
@@ -1362,7 +1351,7 @@ mod tests {
             c,
             Command::Serve {
                 addr: "0.0.0.0:9000".into(),
-                wire: "binary".into(),
+                wire: WireMode::Binary,
                 workers: 8,
                 registry: Some("reg.json".into()),
                 full: true,
@@ -1460,7 +1449,7 @@ mod tests {
                 rate: 400.0,
                 seed: 7,
                 tenants: 1,
-                wire: "json".into(),
+                wire: WireMode::Json,
                 faults: "none".into(),
                 mem_cap: None,
                 json: false,
@@ -1497,7 +1486,7 @@ mod tests {
                 rate: 800.0,
                 seed: 9,
                 tenants: 3,
-                wire: "binary".into(),
+                wire: WireMode::Binary,
                 faults: "none,churn_prob=0.1,poison_prob=0.1,shard_panics=2".into(),
                 mem_cap: Some(6 << 20),
                 json: true,

@@ -1,7 +1,7 @@
 //! Command implementations for the `icomm` CLI.
 
 use std::fmt::Write as _;
-use std::io::{BufRead, Write as _};
+use std::io::BufRead;
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -12,10 +12,10 @@ use icomm_bench::{ablation, ExperimentReport};
 use icomm_core::Tuner;
 use icomm_microbench::{characterize_device, quick_characterize_device, DeviceCharacterization};
 use icomm_models::{run_model, CommModelKind, PhasedWorkload, Workload};
-use icomm_net::{run_load, warmup, BinaryClient, BinaryServer, LoadReport, NetConfig, WireMode};
-use icomm_serve::{
-    AdmissionConfig, Server, ServiceConfig, TuneRequest, TuneResponse, TuningService,
+use icomm_net::{
+    run_load, warmup, BinaryClient, JsonClient, LoadReport, NetConfig, Server, WireMode,
 };
+use icomm_serve::{AdmissionConfig, ServiceConfig, TuneRequest, TuneResponse, TuningService};
 use icomm_soc::units::ByteSize;
 use icomm_soc::{DeviceProfile, PageSize};
 
@@ -123,7 +123,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
             registry,
             full,
             stats,
-        } => serve(addr, wire, *workers, registry.as_deref(), *full, *stats),
+        } => serve(addr, *wire, *workers, registry.as_deref(), *full, *stats),
         Command::Servebench {
             requests,
             conns,
@@ -157,7 +157,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
             mem_cap,
             json,
         } => fleet(
-            mix, *devices, arrival, *rate, *seed, *tenants, wire, faults, *mem_cap, *json,
+            mix, *devices, arrival, *rate, *seed, *tenants, *wire, faults, *mem_cap, *json,
         ),
         Command::Sched {
             board,
@@ -511,66 +511,55 @@ fn service_config(workers: usize, registry: Option<&str>, full: bool) -> Service
 /// `icomm serve`: run the TCP tuning service until the process is killed.
 fn serve(
     addr: &str,
-    wire: &str,
+    wire: WireMode,
     workers: usize,
     registry: Option<&str>,
     full: bool,
     stats: bool,
 ) -> Result<String, String> {
-    let mode = WireMode::parse(wire)?;
     let service = Arc::new(TuningService::start(service_config(
         workers, registry, full,
     )));
     let warm = service.registry().len();
-    match mode {
+    let server = Server::start_with(service, addr, NetConfig::default().with_wire(wire))
+        .map_err(|err| format!("cannot listen on {addr}: {err}"))?;
+    let codec = match wire {
+        WireMode::Json => "line JSON",
+        WireMode::Binary => "icommwire v1 binary",
+    };
+    println!(
+        "icomm-serve listening on {} ({codec}, {workers} workers, {} sweep, {} warm registry entries)",
+        server.local_addr(),
+        if full { "full" } else { "quick" },
+        warm,
+    );
+    match wire {
         WireMode::Json => {
-            let server = Server::start(service, addr)
-                .map_err(|err| format!("cannot listen on {addr}: {err}"))?;
-            println!(
-                "icomm-serve listening on {} (line JSON, {workers} workers, {} sweep, {} warm registry entries)",
-                server.local_addr(),
-                if full { "full" } else { "quick" },
-                warm,
-            );
             println!("one JSON request per line, e.g.:");
-            let nc_addr = addr.replacen(':', " ", 1);
+            let bound = server.local_addr();
             println!(
-                "  echo '{{\"id\": 1, \"board\": \"xavier\", \"app\": \"shwfs\"}}' | nc {nc_addr}"
+                "  echo '{{\"id\": 1, \"board\": \"xavier\", \"app\": \"shwfs\"}}' | nc {} {}",
+                bound.ip(),
+                bound.port()
             );
-            loop {
-                std::thread::sleep(Duration::from_secs(30));
-                if stats {
-                    eprintln!("{}", server.service().metrics());
-                }
-            }
         }
-        WireMode::Binary => {
-            let server = BinaryServer::start(service, addr)
-                .map_err(|err| format!("cannot listen on {addr}: {err}"))?;
-            println!(
-                "icomm-serve listening on {} (icommwire v1 binary, {workers} workers, {} sweep, {} warm registry entries)",
-                server.local_addr(),
-                if full { "full" } else { "quick" },
-                warm,
-            );
-            println!(
-                "frames: [u32 len][u8 ver=1][u8 op][body][u32 crc32]; drive it with `icomm servebench` or icomm-net's BinaryClient"
-            );
-            loop {
-                std::thread::sleep(Duration::from_secs(30));
-                if stats {
-                    eprintln!("{}", server.service().metrics());
-                }
-            }
+        WireMode::Binary => println!(
+            "frames: [u32 len][u8 ver=1][u8 op][body][u32 crc32]; drive it with `icomm servebench` or icomm-net's BinaryClient"
+        ),
+    }
+    loop {
+        std::thread::sleep(Duration::from_secs(30));
+        if stats {
+            eprintln!("{}", server.service().metrics());
         }
     }
 }
 
-/// Sends the same tuning requests down the JSON and the binary plane and
-/// counts decision payloads that differ. Transport fields (latency,
+/// Sends the same tuning requests down the JSON and the binary listener
+/// and counts decision payloads that differ. Transport fields (latency,
 /// cache provenance) are excluded by [`TuneResponse::decision_payload`],
-/// so a cached binary answer still has to match the JSON plane byte for
-/// byte.
+/// so a binary decision-cache answer still has to match the decision
+/// the JSON wire computes byte for byte.
 fn parity_check(
     json_addr: std::net::SocketAddr,
     binary_addr: std::net::SocketAddr,
@@ -584,32 +573,17 @@ fn parity_check(
     ];
     let mut binary = BinaryClient::connect(binary_addr)
         .map_err(|err| format!("parity client cannot reach the binary plane: {err}"))?;
-    let stream = std::net::TcpStream::connect(json_addr)
+    let mut json = JsonClient::connect(json_addr)
         .map_err(|err| format!("parity client cannot reach the JSON plane: {err}"))?;
-    let mut reader = std::io::BufReader::new(
-        stream
-            .try_clone()
-            .map_err(|err| format!("parity client cannot clone its stream: {err}"))?,
-    );
-    let mut writer = stream;
     let mut mismatches = 0u64;
     for (id, (board, app, current)) in cases.iter().enumerate() {
         let mut request = TuneRequest::new(id as u64, board, app);
         if let Some(model) = current {
             request = request.with_current(model);
         }
-        let line = icomm_persist::to_string(&request)
-            .map_err(|err| format!("parity request failed to serialize: {err}"))?;
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .map_err(|err| format!("parity request failed to send: {err}"))?;
-        let mut reply = String::new();
-        reader
-            .read_line(&mut reply)
-            .map_err(|err| format!("parity response failed to arrive: {err}"))?;
-        let json_response: TuneResponse = icomm_persist::from_str(reply.trim())
-            .map_err(|err| format!("parity response failed to parse: {err:?}"))?;
+        let json_response = json
+            .tune(&request)
+            .map_err(|err| format!("parity request failed on the JSON plane: {err}"))?;
         let binary_response = binary
             .tune(&request)
             .map_err(|err| format!("parity request failed on the binary plane: {err}"))?;
@@ -620,9 +594,9 @@ fn parity_check(
     Ok((cases.len() as u64, mismatches))
 }
 
-/// `icomm servebench`: run both serving planes over one shared service
-/// and report throughput, tail latency, decision parity, and (with
-/// `--hostile`) binary-listener survival under malformed traffic.
+/// `icomm servebench`: run a JSON and a binary listener over one shared
+/// service and report throughput, tail latency, decision parity, and
+/// (with `--hostile`) both listeners' survival under malformed traffic.
 fn servebench(
     requests: usize,
     conns: usize,
@@ -636,17 +610,26 @@ fn servebench(
             .with_workers(workers)
             .with_admission(AdmissionConfig::unlimited()),
     ));
-    let json_server = Server::start(Arc::clone(&service), "127.0.0.1:0")
-        .map_err(|err| format!("servebench cannot bind the JSON listener: {err}"))?;
-    // The short read deadline keeps the hostile truncation probe quick;
-    // it never fires for well-formed load because only connections with
-    // a stalled partial frame are reaped.
-    let binary_server = BinaryServer::start_with(
-        Arc::clone(&service),
-        "127.0.0.1:0",
-        NetConfig::default().with_read_deadline(Some(Duration::from_millis(1_500))),
-    )
-    .map_err(|err| format!("servebench cannot bind the binary listener: {err}"))?;
+    // The short read deadline keeps the hostile stall probes quick; it
+    // never fires for well-formed load because only connections with a
+    // stalled partial request are reaped.
+    let listen = |wire: WireMode| {
+        Server::start_with(
+            Arc::clone(&service),
+            "127.0.0.1:0",
+            NetConfig::default()
+                .with_wire(wire)
+                .with_read_deadline(Some(Duration::from_millis(1_500))),
+        )
+        .map_err(|err| {
+            format!(
+                "servebench cannot bind the {} listener: {err}",
+                wire.as_str()
+            )
+        })
+    };
+    let json_server = listen(WireMode::Json)?;
+    let binary_server = listen(WireMode::Binary)?;
     let json_addr = json_server.local_addr();
     let binary_addr = binary_server.local_addr();
 
@@ -661,31 +644,35 @@ fn servebench(
     let json_report = run_load(json_addr, WireMode::Json, conns, per_conn, 1);
     let binary_report = run_load(binary_addr, WireMode::Binary, conns, per_conn, batch);
 
-    let mut hostile_probes = 0u64;
-    let mut hostile_defended = 0u64;
+    let mut defended: Vec<bool> = Vec::new();
     if hostile {
         use icomm_chaos::tcp::{
-            binary_corrupt_crc, binary_garbage, binary_oversized, binary_truncated, BinaryDefense,
+            binary_corrupt_crc, binary_garbage, binary_oversized, binary_truncated, send_garbage,
+            send_oversized, stall_mid_request, BinaryDefense,
         };
-        let mut note = |outcome: std::io::Result<BinaryDefense>| {
-            hostile_probes += 1;
-            if matches!(
+        let refused = |outcome: std::io::Result<BinaryDefense>| {
+            matches!(
                 outcome,
                 Ok(BinaryDefense::ErrorFrame | BinaryDefense::Disconnected)
-            ) {
-                hostile_defended += 1;
-            }
+            )
         };
-        for seed in 0..3u64 {
-            note(binary_garbage(binary_addr, seed, 64 + seed as usize * 57));
-        }
-        note(binary_oversized(binary_addr, 1 << 30));
-        note(binary_corrupt_crc(binary_addr, 9));
-        hostile_probes += 1;
-        if binary_truncated(binary_addr, 6, Duration::from_secs(5)).unwrap_or(false) {
-            hostile_defended += 1;
-        }
+        let give_up = Duration::from_secs(5);
+        defended = vec![
+            refused(binary_garbage(binary_addr, 0, 64)),
+            refused(binary_garbage(binary_addr, 1, 121)),
+            refused(binary_garbage(binary_addr, 2, 178)),
+            refused(binary_oversized(binary_addr, 1 << 30)),
+            refused(binary_corrupt_crc(binary_addr, 9)),
+            binary_truncated(binary_addr, 6, give_up).unwrap_or(false),
+            // The same defences on the JSON listener: every garbage line
+            // answered, an over-long line refused, a stalled line dropped.
+            send_garbage(json_addr, 5, 8).is_ok_and(|answered| answered == 8),
+            send_oversized(json_addr, 64 * 1024).is_ok_and(|reply| reply.contains("exceeds")),
+            stall_mid_request(json_addr, give_up).unwrap_or(false),
+        ];
     }
+    let hostile_probes = defended.len();
+    let hostile_defended = defended.iter().filter(|&&d| d).count();
 
     let snapshot = service.metrics();
     json_server.stop();
@@ -694,19 +681,13 @@ fn servebench(
         .map_err(|_| "servebench listeners still hold service references".to_string())?
         .shutdown()?;
 
-    let speedup = if json_report.rps > 0.0 {
-        binary_report.rps / json_report.rps
-    } else {
-        0.0
-    };
-
     if json {
         return Ok(format!(
             concat!(
                 "{{\"requests_per_plane\":{},\"conns\":{},\"workers\":{},\"batch\":{},",
                 "\"json_rps\":{:.1},\"json_p50_us\":{},\"json_p99_us\":{},\"json_failed\":{},",
                 "\"binary_rps\":{:.1},\"binary_p50_us\":{},\"binary_p99_us\":{},\"binary_failed\":{},",
-                "\"speedup\":{:.2},\"parity_checked\":{},\"parity_mismatches\":{},",
+                "\"parity_checked\":{},\"parity_mismatches\":{},",
                 "\"decision_cache_hits\":{},\"batches_submitted\":{},\"batched_requests\":{},",
                 "\"frame_faults\":{},\"hostile_probes\":{},\"hostile_defended\":{}}}\n"
             ),
@@ -722,7 +703,6 @@ fn servebench(
             binary_report.p50_us,
             binary_report.p99_us,
             binary_report.failed,
-            speedup,
             parity_checked,
             parity_mismatches,
             snapshot.decision_cache_hits,
@@ -753,7 +733,6 @@ fn servebench(
     out.push('\n');
     out.push_str(&plane_line(&binary_report));
     out.push('\n');
-    let _ = writeln!(out, "  speedup {speedup:.2}x (binary vs json)");
     let _ = writeln!(
         out,
         "  parity  {}/{} decision payloads identical",
@@ -846,7 +825,7 @@ fn fleet(
     rate: f64,
     seed: u64,
     tenants: usize,
-    wire: &str,
+    wire: WireMode,
     faults: &str,
     mem_cap: Option<u64>,
     json: bool,
@@ -862,7 +841,7 @@ fn fleet(
         },
         seed,
         tenants_per_device: tenants,
-        livefire_wire: WireMode::parse(wire)?,
+        livefire_wire: wire,
         faults: icomm_chaos::FaultPlan::parse(faults)?,
         mem_cap: mem_cap.map(ByteSize),
         ..icomm_fleet::FleetConfig::default()
@@ -1083,6 +1062,7 @@ fn sched(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use icomm_net::WireMode::{Binary, Json};
 
     #[test]
     fn boards_lists_all() {
@@ -1261,7 +1241,7 @@ mod tests {
     fn fleet_json_is_deterministic_and_parses() {
         let run = || {
             fleet(
-                "nano,tx2", 48, "poisson", 400.0, 7, 1, "json", "none", None, true,
+                "nano,tx2", 48, "poisson", 400.0, 7, 1, Json, "none", None, true,
             )
             .unwrap()
         };
@@ -1275,7 +1255,7 @@ mod tests {
         // drive the live-fire stage over the binary plane here so the
         // CLI path through `--wire binary` is covered too.
         let text = fleet(
-            "nano", 24, "burst", 600.0, 3, 2, "binary", "none", None, false,
+            "nano", 24, "burst", 600.0, 3, 2, Binary, "none", None, false,
         )
         .unwrap();
         assert!(text.contains("verdict"), "{text}");
@@ -1287,7 +1267,7 @@ mod tests {
         let spec = "none,churn_prob=0.2,poison_prob=0.2";
         let run = || {
             fleet(
-                "nano,tx2", 64, "poisson", 400.0, 11, 1, "json", spec, None, true,
+                "nano,tx2", 64, "poisson", 400.0, 11, 1, Json, spec, None, true,
             )
             .unwrap()
         };
@@ -1334,21 +1314,26 @@ mod tests {
     }
 
     #[test]
-    fn servebench_json_reports_parity_and_speedup() {
+    fn servebench_json_reports_parity_and_both_wires() {
         let out = servebench(24, 3, 2, 4, false, true).unwrap();
         assert!(out.contains("\"parity_mismatches\":0"), "{out}");
         assert!(out.contains("\"json_failed\":0"), "{out}");
         assert!(out.contains("\"binary_failed\":0"), "{out}");
-        assert!(out.contains("\"speedup\":"), "{out}");
+        assert!(out.contains("\"json_rps\":"), "{out}");
+        assert!(out.contains("\"binary_rps\":"), "{out}");
         assert!(out.contains("\"decision_cache_hits\":"), "{out}");
     }
 
     #[test]
     fn servebench_hostile_text_counts_defenses() {
         let out = servebench(6, 2, 2, 3, true, false).unwrap();
-        assert!(out.contains("speedup"), "{out}");
+        assert_eq!(
+            out.lines().filter(|l| l.contains(" rps ")).count(),
+            2,
+            "{out}"
+        );
         assert!(out.contains("5/5 decision payloads identical"), "{out}");
-        assert!(out.contains("hostile 6/6 probes defended"), "{out}");
+        assert!(out.contains("hostile 9/9 probes defended"), "{out}");
         assert!(!out.contains("0 frame faults"), "{out}");
     }
 

@@ -1,7 +1,7 @@
 //! Live-fire stage: hammer a real in-process server over real TCP.
 //!
 //! The virtual-time simulation validates the *policies*; this stage
-//! validates the *stack* — the accept loop, the line protocol, the
+//! validates the *stack* — the accept loop, the wire codec, the
 //! worker pool, and the transfer-enabled registry all under concurrent
 //! client load. The wire protocol carries board *names*, so the stage
 //! exercises the built-in catalog boards rather than the synthetic
@@ -11,17 +11,16 @@
 //! Only the counts (sent / ok / failed) — which a healthy stack makes
 //! deterministic — feed the report.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::TcpStream;
+use std::net::SocketAddr;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use icomm_microbench::TransferPolicy;
-use icomm_net::{BinaryServer, NetConfig, PanicPlan, ResilienceConfig, ResilientClient, WireMode};
-use icomm_resilience::{RestartPolicy, RetryPolicy};
-use icomm_serve::{
-    AdmissionConfig, Server, ServiceConfig, TuneRequest, TuneResponse, TuningService,
+use icomm_net::{
+    JsonClient, NetConfig, PanicPlan, ResilienceConfig, ResilientClient, Server, WireMode,
 };
+use icomm_resilience::{RestartPolicy, RetryPolicy};
+use icomm_serve::{AdmissionConfig, ServiceConfig, TuneRequest, TuneResponse, TuningService};
 
 use crate::report::LivefireStats;
 
@@ -42,15 +41,15 @@ pub(crate) struct LivefireOutcome {
 
 /// Runs `requests` requests against a fresh in-process server from
 /// `threads` concurrent TCP clients and tears everything down. `wire`
-/// selects the serving plane: the line-JSON thread-per-connection
-/// listener, or the `icomm-net` binary event loop.
+/// selects the codec the listener and its clients speak: line JSON or
+/// `icommwire v1` frames.
 ///
-/// `shard_panics > 0` arms the binary plane's deterministic panic
-/// injector: panics fire mid-frame at fixed intervals, the shard
-/// supervisor restarts each crashed event loop, and the resilient
-/// clients retry over fresh connections — so the stage still answers
-/// every request. Requires the binary wire (the JSON listener has no
-/// supervisor).
+/// `shard_panics > 0` arms the plane's deterministic panic injector:
+/// panics fire mid-frame at fixed intervals, the shard supervisor
+/// restarts each crashed event loop, and the resilient binary clients
+/// retry over fresh connections — so the stage still answers every
+/// request. Requires the binary wire: the line-JSON client does not
+/// retry, so a panic would lose its in-flight request.
 ///
 /// Admission is unlimited here on purpose: the stage asserts the stack
 /// serves every request, while shedding behavior is validated
@@ -62,8 +61,8 @@ pub(crate) fn run_livefire(
     shard_panics: u32,
 ) -> Result<LivefireOutcome, String> {
     if shard_panics > 0 && wire != WireMode::Binary {
-        return Err("shard panic injection requires the binary serving plane: \
-             the line-JSON listener has no shard supervisor"
+        return Err("shard panic injection requires the binary wire: \
+             the line-JSON client does not retry the requests a panic drops"
             .to_string());
     }
     let service = Arc::new(TuningService::start(
@@ -72,44 +71,25 @@ pub(crate) fn run_livefire(
             .with_admission(AdmissionConfig::unlimited())
             .with_transfer(TransferPolicy::default()),
     ));
-    // One teardown path for both planes: hold a reference here, stop the
-    // listener, then unwrap and shut the service down.
-    enum Listener {
-        Json(Server),
-        Binary(BinaryServer),
+    let mut net_config = NetConfig::default().with_wire(wire);
+    if shard_panics > 0 {
+        // Panics spread across the run so each one lands while requests
+        // are still in flight; the restart budget covers every injected
+        // panic with slack.
+        net_config = net_config
+            .with_restart(RestartPolicy {
+                max_restarts: shard_panics.max(4),
+                base_backoff: Duration::from_millis(2),
+                max_backoff: Duration::from_millis(50),
+            })
+            .with_panic_plan(PanicPlan {
+                after_frames: (requests as u64 / (u64::from(shard_panics) + 1)).max(4),
+                panics: shard_panics,
+            });
     }
-    let listener = match wire {
-        WireMode::Json => Listener::Json(
-            Server::start(Arc::clone(&service), "127.0.0.1:0")
-                .map_err(|e| format!("livefire stage could not bind a local socket: {e}"))?,
-        ),
-        WireMode::Binary => {
-            let mut net_config = NetConfig::default();
-            if shard_panics > 0 {
-                // Panics spread across the run so each one lands while
-                // requests are still in flight; the restart budget
-                // covers every injected panic with slack.
-                net_config = net_config
-                    .with_restart(RestartPolicy {
-                        max_restarts: shard_panics.max(4),
-                        base_backoff: Duration::from_millis(2),
-                        max_backoff: Duration::from_millis(50),
-                    })
-                    .with_panic_plan(PanicPlan {
-                        after_frames: (requests as u64 / (u64::from(shard_panics) + 1)).max(4),
-                        panics: shard_panics,
-                    });
-            }
-            Listener::Binary(
-                BinaryServer::start_with(Arc::clone(&service), "127.0.0.1:0", net_config)
-                    .map_err(|e| format!("livefire stage could not bind a local socket: {e}"))?,
-            )
-        }
-    };
-    let addr = match &listener {
-        Listener::Json(server) => server.local_addr(),
-        Listener::Binary(server) => server.local_addr(),
-    };
+    let server = Server::start_with(Arc::clone(&service), "127.0.0.1:0", net_config)
+        .map_err(|e| format!("livefire stage could not bind a local socket: {e}"))?;
+    let addr = server.local_addr();
 
     let threads = threads.max(1).min(requests.max(1));
     let start = Instant::now();
@@ -120,9 +100,8 @@ pub(crate) fn run_livefire(
         let share: Vec<u64> = (0..requests as u64)
             .filter(|id| *id as usize % threads == t)
             .collect();
-        handles.push(std::thread::spawn(move || match wire {
-            WireMode::Json => client_thread(addr, &share),
-            WireMode::Binary => binary_client_thread(addr, &share),
+        handles.push(std::thread::spawn(move || {
+            client_thread(addr, wire, &share)
         }));
     }
 
@@ -139,17 +118,8 @@ pub(crate) fn run_livefire(
     }
     let wall_duration_us = start.elapsed().as_micros() as u64;
 
-    let shard_restarts = match listener {
-        Listener::Json(server) => {
-            server.stop();
-            0
-        }
-        Listener::Binary(server) => {
-            let restarts = server.health().restarts_total;
-            server.stop();
-            restarts
-        }
-    };
+    let shard_restarts = server.health().restarts_total;
+    server.stop();
     Arc::try_unwrap(service)
         .map_err(|_| "livefire server still holds service references".to_string())?
         .shutdown()?;
@@ -194,65 +164,34 @@ struct ClientOutcome {
     latencies_us: Vec<u64>,
 }
 
-/// One client connection: write a request line, read the response line,
-/// time the round trip, repeat.
-fn client_thread(addr: std::net::SocketAddr, ids: &[u64]) -> Result<ClientOutcome, String> {
-    let stream =
-        TcpStream::connect(addr).map_err(|e| format!("livefire client could not connect: {e}"))?;
-    let mut writer = stream
-        .try_clone()
-        .map_err(|e| format!("livefire client could not clone its stream: {e}"))?;
-    let mut reader = BufReader::new(stream);
-    let mut outcome = ClientOutcome {
-        sent: 0,
-        ok: 0,
-        latencies_us: Vec::with_capacity(ids.len()),
-    };
-    for &id in ids {
-        let board = BOARDS[id as usize % BOARDS.len()];
-        let app = APPS[(id as usize / BOARDS.len()) % APPS.len()];
-        let request = TuneRequest::new(id, board, app);
-        let line = icomm_persist::to_string(&request)
-            .map_err(|e| format!("livefire request {id} failed to serialize: {e}"))?;
-        let begin = Instant::now();
-        writer
-            .write_all(line.as_bytes())
-            .and_then(|()| writer.write_all(b"\n"))
-            .and_then(|()| writer.flush())
-            .map_err(|e| format!("livefire request {id} failed to send: {e}"))?;
-        outcome.sent += 1;
-        let mut reply = String::new();
-        reader
-            .read_line(&mut reply)
-            .map_err(|e| format!("livefire response {id} failed to arrive: {e}"))?;
-        outcome
-            .latencies_us
-            .push(begin.elapsed().as_micros() as u64);
-        let response: TuneResponse = icomm_persist::from_str(reply.trim())
-            .map_err(|e| format!("livefire response {id} failed to parse: {e}"))?;
-        if response.ok && response.id == id {
-            outcome.ok += 1;
-        }
-    }
-    Ok(outcome)
-}
+/// One round trip on a live-fire connection.
+type TuneFn = Box<dyn FnMut(&TuneRequest) -> Result<TuneResponse, String>>;
 
-/// One binary client connection: the same request stream as
-/// [`client_thread`], carried as `icommwire v1` tune frames through the
-/// resilient client, so a shard panic mid-frame costs a retry on a
-/// fresh connection rather than a lost response.
-fn binary_client_thread(addr: std::net::SocketAddr, ids: &[u64]) -> Result<ClientOutcome, String> {
-    let config = ResilienceConfig {
-        retry: RetryPolicy {
-            max_attempts: 8,
-            base_delay: Duration::from_millis(2),
-            max_delay: Duration::from_millis(50),
-            deadline: Duration::from_secs(20),
-            ..RetryPolicy::default()
-        },
-        ..ResilienceConfig::default()
+/// One client connection: send a request, time the round trip, repeat.
+/// A binary client is the resilient one, so a shard panic mid-frame
+/// costs a retry on a fresh connection rather than a lost response.
+fn client_thread(addr: SocketAddr, wire: WireMode, ids: &[u64]) -> Result<ClientOutcome, String> {
+    let mut tune: TuneFn = match wire {
+        WireMode::Json => {
+            let mut client = JsonClient::connect(addr)
+                .map_err(|e| format!("livefire client could not connect: {e}"))?;
+            Box::new(move |request| client.tune(request).map_err(|e| e.to_string()))
+        }
+        WireMode::Binary => {
+            let config = ResilienceConfig {
+                retry: RetryPolicy {
+                    max_attempts: 8,
+                    base_delay: Duration::from_millis(2),
+                    max_delay: Duration::from_millis(50),
+                    deadline: Duration::from_secs(20),
+                    ..RetryPolicy::default()
+                },
+                ..ResilienceConfig::default()
+            };
+            let mut client = ResilientClient::with_config(addr, config);
+            Box::new(move |request| client.tune(request).map_err(|e| e.to_string()))
+        }
     };
-    let mut client = ResilientClient::with_config(addr, config);
     let mut outcome = ClientOutcome {
         sent: 0,
         ok: 0,
@@ -264,9 +203,7 @@ fn binary_client_thread(addr: std::net::SocketAddr, ids: &[u64]) -> Result<Clien
         let request = TuneRequest::new(id, board, app);
         let begin = Instant::now();
         outcome.sent += 1;
-        let response = client
-            .tune(&request)
-            .map_err(|e| format!("livefire binary request {id} failed: {e}"))?;
+        let response = tune(&request).map_err(|e| format!("livefire request {id} failed: {e}"))?;
         outcome
             .latencies_us
             .push(begin.elapsed().as_micros() as u64);

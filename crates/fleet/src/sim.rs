@@ -78,8 +78,8 @@ pub struct FleetConfig {
     pub regret_samples: usize,
     /// Whether to run the live-fire TCP stage after the simulation.
     pub livefire: bool,
-    /// Serving plane the live-fire stage drives: the line-JSON
-    /// compatibility listener or the `icomm-net` binary event loop.
+    /// Wire the live-fire stage speaks to its `icomm-net` listener:
+    /// line JSON or `icommwire v1` frames.
     pub livefire_wire: icomm_net::WireMode,
     /// Tenants co-hosted per served device. `1` (the default) keeps the
     /// fleet single-tenant; `2`–`4` turn on the multi-tenant stage: every
@@ -249,11 +249,9 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRunOutput, String> {
             );
         }
         if config.livefire_wire != icomm_net::WireMode::Binary {
-            return Err(
-                "shard_panics requires the binary serving plane (--wire binary): \
-                 the line-JSON listener has no shard supervisor to restart"
-                    .to_string(),
-            );
+            return Err("shard_panics requires the binary wire (--wire binary): \
+                 the line-JSON client does not retry the requests a panic drops"
+                .to_string());
         }
     }
     let mix = BoardMix::parse(&config.boards)?;

@@ -1,12 +1,13 @@
-//! Blocking binary-wire client.
+//! Blocking clients, one per codec.
 //!
 //! [`BinaryClient`] speaks `icommwire v1` over one TCP connection:
 //! write a request frame, read frames until the matching reply
-//! arrives. It is deliberately synchronous — the client side of this
+//! arrives. [`JsonClient`] does the same with one JSON line each way.
+//! Both are deliberately synchronous — the client side of this
 //! workload (CLI, tests, load generators) wants simple call/return
 //! semantics; concurrency comes from running many clients.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
@@ -58,7 +59,7 @@ impl From<WireError> for ClientError {
     }
 }
 
-/// One blocking connection to a [`crate::BinaryServer`].
+/// One blocking `icommwire v1` connection to a [`crate::Server`].
 #[derive(Debug)]
 pub struct BinaryClient {
     stream: TcpStream,
@@ -77,7 +78,7 @@ impl BinaryClient {
         let _ = stream.set_nodelay(true);
         Ok(BinaryClient {
             stream,
-            decoder: FrameDecoder::with_default_limit(),
+            decoder: FrameDecoder::default(),
         })
     }
 
@@ -103,13 +104,12 @@ impl BinaryClient {
     /// Fails on transport errors, wire-format violations, or an
     /// `Error` frame from the server.
     pub fn tune(&mut self, request: &TuneRequest) -> Result<TuneResponse, ClientError> {
-        let frame = frame_bytes(Opcode::Tune, &encode_tune_request(request));
-        self.stream.write_all(&frame)?;
-        let reply = self.read_frame()?;
-        match reply.opcode {
-            Opcode::TuneReply => Ok(decode_tune_response(&reply.body)?),
-            other => Err(self.unexpected(other, &reply.body)),
-        }
+        let body = self.call(
+            Opcode::Tune,
+            &encode_tune_request(request),
+            Opcode::TuneReply,
+        )?;
+        Ok(decode_tune_response(&body)?)
     }
 
     /// Sends a batch of tune requests as one frame and waits for the
@@ -123,13 +123,12 @@ impl BinaryClient {
         &mut self,
         requests: &[TuneRequest],
     ) -> Result<Vec<TuneResponse>, ClientError> {
-        let frame = frame_bytes(Opcode::Batch, &encode_batch_request(requests));
-        self.stream.write_all(&frame)?;
-        let reply = self.read_frame()?;
-        match reply.opcode {
-            Opcode::BatchReply => Ok(decode_batch_response(&reply.body)?),
-            other => Err(self.unexpected(other, &reply.body)),
-        }
+        let body = self.call(
+            Opcode::Batch,
+            &encode_batch_request(requests),
+            Opcode::BatchReply,
+        )?;
+        Ok(decode_batch_response(&body)?)
     }
 
     /// Fetches the service's stats report.
@@ -139,18 +138,8 @@ impl BinaryClient {
     /// Fails on transport errors, wire-format violations, or an
     /// undecodable stats payload.
     pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
-        let frame = frame_bytes(Opcode::Stats, &[]);
-        self.stream.write_all(&frame)?;
-        let reply = self.read_frame()?;
-        match reply.opcode {
-            Opcode::StatsReply => {
-                let json = std::str::from_utf8(&reply.body)
-                    .map_err(|_| ClientError::Protocol("stats payload not UTF-8".to_string()))?;
-                icomm_persist::from_str(json)
-                    .map_err(|e| ClientError::Protocol(format!("stats payload: {e:?}")))
-            }
-            other => Err(self.unexpected(other, &reply.body)),
-        }
+        let body = self.call(Opcode::Stats, &[], Opcode::StatsReply)?;
+        json_payload(&body, "stats")
     }
 
     /// Fetches the server's supervision-tree health report: per-shard
@@ -161,18 +150,8 @@ impl BinaryClient {
     /// Fails on transport errors, wire-format violations, or an
     /// undecodable health payload.
     pub fn health(&mut self) -> Result<crate::HealthReport, ClientError> {
-        let frame = frame_bytes(Opcode::Health, &[]);
-        self.stream.write_all(&frame)?;
-        let reply = self.read_frame()?;
-        match reply.opcode {
-            Opcode::HealthReply => {
-                let json = std::str::from_utf8(&reply.body)
-                    .map_err(|_| ClientError::Protocol("health payload not UTF-8".to_string()))?;
-                icomm_persist::from_str(json)
-                    .map_err(|e| ClientError::Protocol(format!("health payload: {e:?}")))
-            }
-            other => Err(self.unexpected(other, &reply.body)),
-        }
+        let body = self.call(Opcode::Health, &[], Opcode::HealthReply)?;
+        json_payload(&body, "health")
     }
 
     /// Asks the server to characterize a board by name.
@@ -182,19 +161,9 @@ impl BinaryClient {
     /// Fails on transport errors, wire-format violations, an unknown
     /// board, or an undecodable characterization payload.
     pub fn characterize(&mut self, board: &str) -> Result<DeviceCharacterization, ClientError> {
-        let frame = frame_bytes(Opcode::Characterize, &encode_characterize_request(board));
-        self.stream.write_all(&frame)?;
-        let reply = self.read_frame()?;
-        match reply.opcode {
-            Opcode::CharacterizeReply => {
-                let json = std::str::from_utf8(&reply.body).map_err(|_| {
-                    ClientError::Protocol("characterization payload not UTF-8".to_string())
-                })?;
-                icomm_persist::from_str(json)
-                    .map_err(|e| ClientError::Protocol(format!("characterization payload: {e:?}")))
-            }
-            other => Err(self.unexpected(other, &reply.body)),
-        }
+        let request = encode_characterize_request(board);
+        let body = self.call(Opcode::Characterize, &request, Opcode::CharacterizeReply)?;
+        json_payload(&body, "characterization")
     }
 
     /// Writes raw bytes to the socket — the hostile-client hook used
@@ -230,14 +199,113 @@ impl BinaryClient {
         }
     }
 
-    fn unexpected(&self, opcode: Opcode, body: &[u8]) -> ClientError {
-        if opcode == Opcode::Error {
-            match decode_error(body) {
+    /// Sends one request frame and returns the body of its reply, which
+    /// must carry `reply`.
+    fn call(&mut self, opcode: Opcode, body: &[u8], reply: Opcode) -> Result<Vec<u8>, ClientError> {
+        self.stream.write_all(&frame_bytes(opcode, body))?;
+        let frame = self.read_frame()?;
+        match frame.opcode {
+            found if found == reply => Ok(frame.body),
+            Opcode::Error => Err(match decode_error(&frame.body) {
                 Ok(message) => ClientError::Server(message),
                 Err(e) => ClientError::Wire(e),
-            }
-        } else {
-            ClientError::Protocol(format!("unexpected reply opcode {opcode:?}"))
+            }),
+            other => Err(ClientError::Protocol(format!(
+                "unexpected reply opcode {other:?}"
+            ))),
         }
+    }
+}
+
+/// Decodes a reply's JSON payload.
+fn json_payload<T: serde::de::DeserializeOwned>(body: &[u8], what: &str) -> Result<T, ClientError> {
+    let json = std::str::from_utf8(body)
+        .map_err(|_| ClientError::Protocol(format!("{what} payload not UTF-8")))?;
+    icomm_persist::from_str(json)
+        .map_err(|e| ClientError::Protocol(format!("{what} payload: {e:?}")))
+}
+
+/// One blocking line-JSON connection to a [`crate::Server`]: one request
+/// line out, one reply line back. Server-side failures arrive as
+/// [`TuneResponse`]s with `ok: false`, not as errors.
+#[derive(Debug)]
+pub struct JsonClient {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl JsonClient {
+    /// Connects with TCP_NODELAY set.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connect failures.
+    pub fn connect(addr: SocketAddr) -> Result<JsonClient, ClientError> {
+        let writer = TcpStream::connect(addr)?;
+        let _ = writer.set_nodelay(true);
+        Ok(JsonClient {
+            reader: BufReader::new(writer.try_clone()?),
+            writer,
+        })
+    }
+
+    /// Connects with a read timeout, so tests never hang on a lost
+    /// reply.
+    ///
+    /// # Errors
+    ///
+    /// Propagates connect failures.
+    pub fn connect_timeout(
+        addr: SocketAddr,
+        read_timeout: Duration,
+    ) -> Result<JsonClient, ClientError> {
+        let client = Self::connect(addr)?;
+        client.writer.set_read_timeout(Some(read_timeout))?;
+        Ok(client)
+    }
+
+    /// Sends one tune request and waits for its reply.
+    ///
+    /// # Errors
+    ///
+    /// Fails on transport errors or a reply line that is not a
+    /// [`TuneResponse`].
+    pub fn tune(&mut self, request: &TuneRequest) -> Result<TuneResponse, ClientError> {
+        let line = icomm_persist::to_string(request)
+            .map_err(|e| ClientError::Protocol(format!("request: {e}")))?;
+        json_payload(self.exchange(&line)?.trim_end().as_bytes(), "tune")
+    }
+
+    /// Fetches the service's stats report with the stats verb.
+    ///
+    /// # Errors
+    ///
+    /// Fails on transport errors or an undecodable report.
+    pub fn stats(&mut self) -> Result<StatsReport, ClientError> {
+        json_payload(
+            self.exchange("{\"stats\": true}")?.trim_end().as_bytes(),
+            "stats",
+        )
+    }
+
+    /// Sends `line` (its newline appended, one write) and reads one
+    /// reply line.
+    ///
+    /// # Errors
+    ///
+    /// Fails on transport errors, or when the server closes first.
+    pub fn exchange(&mut self, line: &str) -> Result<String, ClientError> {
+        let mut bytes = Vec::with_capacity(line.len() + 1);
+        bytes.extend_from_slice(line.as_bytes());
+        bytes.push(b'\n');
+        self.writer.write_all(&bytes)?;
+        let mut reply = String::new();
+        if self.reader.read_line(&mut reply)? == 0 {
+            return Err(ClientError::Io(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            )));
+        }
+        Ok(reply)
     }
 }

@@ -1,58 +1,24 @@
-//! Closed-loop load generator for both serving planes.
+//! Closed-loop load generator for both codecs.
 //!
-//! Drives either the line-JSON listener or the binary listener with
-//! the same synthetic tune workload, so the two planes can be compared
-//! on equal terms: same request mix, same connection count, same
-//! closed-loop discipline. Per-request latencies feed p50/p99 in the
-//! report; throughput is total completed requests over wall time.
+//! Drives a line-JSON or an `icommwire` listener with the same
+//! synthetic tune workload, so the two wires can be compared on equal
+//! terms: same request mix, same connection count, same closed-loop
+//! discipline. Per-request latencies feed p50/p99 in the report;
+//! throughput is total completed requests over wall time.
 //!
-//! The JSON plane has no batching primitive, so `batch > 1` only
-//! changes the binary plane (one `Batch` frame per round trip); the
-//! JSON client always issues one request per round trip. That
-//! asymmetry is the experiment, not a bug — it is exactly the protocol
-//! difference the binary plane exists to exploit.
+//! Line JSON has no batching primitive, so `batch > 1` only changes the
+//! binary wire (one `Batch` frame per round trip); the JSON client
+//! always issues one request per round trip. That asymmetry is the
+//! experiment, not a bug — it is exactly the protocol difference the
+//! binary wire exists to exploit.
 
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::time::{Duration, Instant};
 
 use icomm_serve::{TuneRequest, TuneResponse};
 
-use crate::client::BinaryClient;
-
-/// Which serving plane to drive.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum WireMode {
-    /// Line-delimited JSON against the compatibility listener.
-    Json,
-    /// `icommwire v1` frames against the binary listener.
-    Binary,
-}
-
-impl WireMode {
-    /// Parses a `--wire` flag value.
-    ///
-    /// # Errors
-    ///
-    /// Returns a usage message for anything but `json` / `binary`.
-    pub fn parse(s: &str) -> Result<WireMode, String> {
-        match s {
-            "json" => Ok(WireMode::Json),
-            "binary" => Ok(WireMode::Binary),
-            other => Err(format!(
-                "unknown wire mode '{other}' (expected json|binary)"
-            )),
-        }
-    }
-
-    /// The flag spelling for this mode.
-    pub fn as_str(&self) -> &'static str {
-        match self {
-            WireMode::Json => "json",
-            WireMode::Binary => "binary",
-        }
-    }
-}
+use crate::client::{BinaryClient, ClientError, JsonClient};
+use crate::codec::WireMode;
 
 /// Boards the synthetic workload rotates through.
 pub const LOAD_BOARDS: [&str; 3] = ["nano", "tx2", "xavier"];
@@ -69,11 +35,11 @@ pub fn load_request(conn: usize, i: usize) -> TuneRequest {
 /// Outcome of one [`run_load`] invocation.
 #[derive(Clone, Debug)]
 pub struct LoadReport {
-    /// Plane that was driven.
+    /// Wire that was driven.
     pub mode: WireMode,
     /// Concurrent connections (one thread each).
     pub conns: usize,
-    /// Batch size used on the binary plane.
+    /// Batch size used on the binary wire.
     pub batch: usize,
     /// Requests sent.
     pub sent: u64,
@@ -100,10 +66,35 @@ fn quantile(sorted: &[u64], q: f64) -> u64 {
     sorted[idx.min(sorted.len() - 1)]
 }
 
+/// One connection of either wire.
+enum Conn {
+    Json(JsonClient),
+    Binary(BinaryClient),
+}
+
+impl Conn {
+    fn connect(addr: SocketAddr, mode: WireMode) -> Result<Conn, ClientError> {
+        Ok(match mode {
+            WireMode::Json => Conn::Json(JsonClient::connect(addr)?),
+            WireMode::Binary => Conn::Binary(BinaryClient::connect(addr)?),
+        })
+    }
+
+    /// One round trip: a `Batch` frame for several requests on the
+    /// binary wire, a single request otherwise.
+    fn round_trip(&mut self, requests: &[TuneRequest]) -> Result<Vec<TuneResponse>, ClientError> {
+        match self {
+            Conn::Binary(client) if requests.len() > 1 => client.tune_batch(requests),
+            Conn::Binary(client) => requests.iter().map(|r| client.tune(r)).collect(),
+            Conn::Json(client) => requests.iter().map(|r| client.tune(r)).collect(),
+        }
+    }
+}
+
 /// Drives `conns` closed-loop connections, each issuing
 /// `requests_per_conn` requests, and reports aggregate throughput and
 /// latency. `batch` groups requests into `Batch` frames on the binary
-/// plane (use 1 for strict request/response symmetry with JSON).
+/// wire (use 1 for strict request/response symmetry with JSON).
 pub fn run_load(
     addr: SocketAddr,
     mode: WireMode,
@@ -116,9 +107,8 @@ pub fn run_load(
     let started = Instant::now();
     let mut handles = Vec::with_capacity(conns);
     for conn in 0..conns {
-        handles.push(std::thread::spawn(move || match mode {
-            WireMode::Json => drive_json(addr, conn, requests_per_conn),
-            WireMode::Binary => drive_binary(addr, conn, requests_per_conn, batch),
+        handles.push(std::thread::spawn(move || {
+            drive(addr, mode, conn, requests_per_conn, batch)
         }));
     }
     let mut sent = 0u64;
@@ -155,44 +145,21 @@ pub fn run_load(
 
 /// Warms the service through `mode` so characterization cost is paid
 /// before measurement: one request per (board, app) combination.
+///
+/// # Errors
+///
+/// Fails when the listener cannot be reached or a request fails in
+/// transit.
 pub fn warmup(addr: SocketAddr, mode: WireMode) -> Result<(), String> {
-    match mode {
-        WireMode::Json => {
-            let stream = TcpStream::connect(addr).map_err(|e| format!("warmup connect: {e}"))?;
-            let mut reader = BufReader::new(
-                stream
-                    .try_clone()
-                    .map_err(|e| format!("warmup clone: {e}"))?,
-            );
-            let mut writer = stream;
-            for (i, board) in LOAD_BOARDS.iter().enumerate() {
-                for (j, app) in LOAD_APPS.iter().enumerate() {
-                    let request = TuneRequest::new((i * LOAD_APPS.len() + j) as u64, board, app);
-                    let json = icomm_persist::to_string(&request)
-                        .map_err(|e| format!("warmup encode: {e:?}"))?;
-                    writeln!(writer, "{json}").map_err(|e| format!("warmup write: {e}"))?;
-                    let mut line = String::new();
-                    reader
-                        .read_line(&mut line)
-                        .map_err(|e| format!("warmup read: {e}"))?;
-                }
-            }
-            Ok(())
-        }
-        WireMode::Binary => {
-            let mut client =
-                BinaryClient::connect(addr).map_err(|e| format!("warmup connect: {e}"))?;
-            for (i, board) in LOAD_BOARDS.iter().enumerate() {
-                for (j, app) in LOAD_APPS.iter().enumerate() {
-                    let request = TuneRequest::new((i * LOAD_APPS.len() + j) as u64, board, app);
-                    client
-                        .tune(&request)
-                        .map_err(|e| format!("warmup tune: {e}"))?;
-                }
-            }
-            Ok(())
+    let mut conn = Conn::connect(addr, mode).map_err(|e| format!("warmup connect: {e}"))?;
+    for (i, board) in LOAD_BOARDS.iter().enumerate() {
+        for (j, app) in LOAD_APPS.iter().enumerate() {
+            let request = TuneRequest::new((i * LOAD_APPS.len() + j) as u64, board, app);
+            conn.round_trip(&[request])
+                .map_err(|e| format!("warmup tune: {e}"))?;
         }
     }
+    Ok(())
 }
 
 struct ConnOutcome {
@@ -202,79 +169,23 @@ struct ConnOutcome {
     latencies_us: Vec<u64>,
 }
 
-fn drive_json(addr: SocketAddr, conn: usize, requests: usize) -> ConnOutcome {
-    let mut outcome = ConnOutcome {
-        sent: 0,
-        ok: 0,
-        failed: 0,
-        latencies_us: Vec::with_capacity(requests),
-    };
-    let stream = match TcpStream::connect(addr) {
-        Ok(s) => s,
-        Err(_) => {
-            outcome.failed = requests as u64;
-            return outcome;
-        }
-    };
-    let _ = stream.set_nodelay(true);
-    let reader = match stream.try_clone() {
-        Ok(clone) => clone,
-        Err(_) => {
-            outcome.failed = requests as u64;
-            return outcome;
-        }
-    };
-    let mut reader = BufReader::new(reader);
-    let mut writer = stream;
-    for i in 0..requests {
-        let request = load_request(conn, i);
-        let json = match icomm_persist::to_string(&request) {
-            Ok(json) => json,
-            Err(_) => {
-                outcome.failed += 1;
-                continue;
-            }
-        };
-        let started = Instant::now();
-        outcome.sent += 1;
-        if writeln!(writer, "{json}").is_err() {
-            outcome.failed += 1;
-            break;
-        }
-        let mut line = String::new();
-        match reader.read_line(&mut line) {
-            Ok(0) | Err(_) => {
-                outcome.failed += 1;
-                break;
-            }
-            Ok(_) => {}
-        }
-        match icomm_persist::from_str::<TuneResponse>(line.trim_end()) {
-            Ok(_) => {
-                outcome.ok += 1;
-                outcome
-                    .latencies_us
-                    .push(started.elapsed().as_micros() as u64);
-            }
-            Err(_) => outcome.failed += 1,
-        }
-    }
-    outcome
-}
-
-fn drive_binary(addr: SocketAddr, conn: usize, requests: usize, batch: usize) -> ConnOutcome {
+fn drive(
+    addr: SocketAddr,
+    mode: WireMode,
+    conn: usize,
+    requests: usize,
+    batch: usize,
+) -> ConnOutcome {
+    let batch = if mode == WireMode::Json { 1 } else { batch };
     let mut outcome = ConnOutcome {
         sent: 0,
         ok: 0,
         failed: 0,
         latencies_us: Vec::with_capacity(requests / batch + 1),
     };
-    let mut client = match BinaryClient::connect(addr) {
-        Ok(c) => c,
-        Err(_) => {
-            outcome.failed = requests as u64;
-            return outcome;
-        }
+    let Ok(mut client) = Conn::connect(addr, mode) else {
+        outcome.failed = requests as u64;
+        return outcome;
     };
     let mut issued = 0usize;
     while issued < requests {
@@ -282,33 +193,16 @@ fn drive_binary(addr: SocketAddr, conn: usize, requests: usize, batch: usize) ->
         let group: Vec<TuneRequest> = (0..n).map(|k| load_request(conn, issued + k)).collect();
         outcome.sent += n as u64;
         let started = Instant::now();
-        if n == 1 {
-            match client.tune(&group[0]) {
-                Ok(_) => {
-                    outcome.ok += 1;
-                    outcome
-                        .latencies_us
-                        .push(started.elapsed().as_micros() as u64);
-                }
-                Err(_) => {
-                    outcome.failed += 1;
-                    break;
-                }
+        match client.round_trip(&group) {
+            Ok(responses) => {
+                outcome.ok += responses.len() as u64;
+                outcome.failed += n.saturating_sub(responses.len()) as u64;
+                let per_request = started.elapsed().as_micros() as u64 / n as u64;
+                outcome.latencies_us.push(per_request);
             }
-        } else {
-            match client.tune_batch(&group) {
-                Ok(responses) => {
-                    outcome.ok += responses.len() as u64;
-                    if responses.len() < n {
-                        outcome.failed += (n - responses.len()) as u64;
-                    }
-                    let per_request = started.elapsed().as_micros() as u64 / n as u64;
-                    outcome.latencies_us.push(per_request);
-                }
-                Err(_) => {
-                    outcome.failed += n as u64;
-                    break;
-                }
+            Err(_) => {
+                outcome.failed += n as u64;
+                break;
             }
         }
         issued += n;

@@ -46,11 +46,18 @@ impl Interest {
         readable: true,
         writable: true,
     };
+    /// Write-only interest — a connection that reads no more but still
+    /// has bytes to send. Leaves out the peer hangup too, which would
+    /// otherwise report on every wait.
+    pub const WRITE: Interest = Interest {
+        readable: false,
+        writable: true,
+    };
 
     fn mask(self) -> u32 {
-        let mut m = EPOLLRDHUP;
+        let mut m = 0;
         if self.readable {
-            m |= EPOLLIN;
+            m |= EPOLLIN | EPOLLRDHUP;
         }
         if self.writable {
             m |= EPOLLOUT;

@@ -1,12 +1,13 @@
-//! The binary TCP listener: acceptor thread + supervised shard loops.
+//! The TCP listener: acceptor thread + supervised shard loops.
 //!
-//! [`BinaryServer`] binds a listener, spins up `shards` event-loop
-//! threads (one reactor each), and runs an acceptor thread that deals
-//! new connections to shards round-robin. The acceptor enforces the
-//! global connection cap *before* a connection reaches a shard: an
-//! over-cap client gets a single `Error` frame and an immediate close,
-//! so a saturated server degrades with explicit refusals instead of
-//! accept-queue timeouts.
+//! [`Server`] binds a listener, spins up `shards` event-loop threads
+//! (one reactor each), and runs an acceptor thread that deals new
+//! connections to shards round-robin. [`NetConfig::wire`] picks the
+//! codec every shard speaks: line JSON or `icommwire v1` frames. The
+//! acceptor enforces the global connection cap *before* a connection
+//! reaches a shard: an over-cap client gets a single error reply and an
+//! immediate close, so a saturated server degrades with explicit
+//! refusals instead of accept-queue timeouts.
 //!
 //! Every shard thread is a **supervisor**: the event loop runs under
 //! `catch_unwind`, and a panic tears down only that shard's
@@ -18,10 +19,9 @@
 //! connections around dead shards; clients observe the supervision
 //! tree through the `Health` opcode.
 //!
-//! The JSON line server ([`icomm_serve::Server`]) stays available as a
-//! compatibility listener; both planes can serve the same
-//! [`TuningService`] simultaneously, which is how the parity and
-//! throughput harnesses compare them.
+//! Several listeners, one per codec, can serve the same
+//! [`TuningService`] at once, which is how the parity and throughput
+//! harnesses compare the two wires.
 
 use std::io::Write;
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -31,14 +31,15 @@ use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use crossbeam::channel::{unbounded, Receiver, Sender};
+use crossbeam::channel::{unbounded, Sender};
 use icomm_resilience::{RestartPolicy, Supervisor};
 use icomm_serve::TuningService;
 
+use crate::codec::{Codec, LineCodec, Reply, WireMode};
 use crate::reactor::{Reactor, Waker};
-use crate::shard::{Shard, ShardConfig, ShardSupervision};
+use crate::shard::{Shard, ShardContext};
 use crate::supervise::{HealthBoard, HealthReport, PanicInjector, PanicPlan};
-use crate::wire::{encode_error, frame_bytes, Opcode};
+use crate::wire::FrameDecoder;
 
 /// A shard's current waker, swapped by the supervisor on every restart
 /// (each restart builds a fresh reactor with a fresh eventfd). Writers
@@ -61,19 +62,20 @@ fn wake_slot(slot: &WakerSlot) {
     let _ = waker.wake();
 }
 
-/// Configuration for the binary serving plane.
+/// Configuration for the serving plane.
 #[derive(Clone, Debug)]
 pub struct NetConfig {
+    /// The codec every connection speaks. Defaults to `icommwire v1`.
+    pub wire: WireMode,
     /// Number of shard event loops. Defaults to available parallelism.
     pub shards: usize,
     /// Global cap on concurrently open connections across all shards.
     pub max_connections: usize,
-    /// Largest frame a client may send, in bytes.
-    pub max_frame_bytes: u32,
-    /// Mid-frame stall deadline (see [`ShardConfig::read_deadline`]).
+    /// How long a connection may wait on its peer — stalled
+    /// mid-request, or leaving its replies unread — before it is
+    /// dropped. `None` disables the deadline; idle connections with
+    /// nothing buffered and nothing to write are never reaped either way.
     pub read_deadline: Option<Duration>,
-    /// Enable the shard-local decision cache.
-    pub decision_cache: bool,
     /// Restart budget and backoff for crashed shard event loops.
     pub restart: RestartPolicy,
     /// Chaos hook: inject deterministic shard panics (see
@@ -84,13 +86,12 @@ pub struct NetConfig {
 impl Default for NetConfig {
     fn default() -> Self {
         NetConfig {
+            wire: WireMode::Binary,
             shards: std::thread::available_parallelism()
                 .map(|n| n.get())
                 .unwrap_or(1),
             max_connections: 16_384,
-            max_frame_bytes: crate::wire::DEFAULT_MAX_FRAME_LEN,
             read_deadline: Some(Duration::from_secs(30)),
-            decision_cache: true,
             restart: RestartPolicy::default(),
             panic_plan: None,
         }
@@ -98,6 +99,12 @@ impl Default for NetConfig {
 }
 
 impl NetConfig {
+    /// Sets the codec.
+    pub fn with_wire(mut self, wire: WireMode) -> Self {
+        self.wire = wire;
+        self
+    }
+
     /// Sets the shard count (clamped to at least 1).
     pub fn with_shards(mut self, shards: usize) -> Self {
         self.shards = shards.max(1);
@@ -110,15 +117,9 @@ impl NetConfig {
         self
     }
 
-    /// Sets the mid-frame stall deadline (`None` disables it).
+    /// Sets the stall deadline (`None` disables it).
     pub fn with_read_deadline(mut self, deadline: Option<Duration>) -> Self {
         self.read_deadline = deadline;
-        self
-    }
-
-    /// Enables or disables the shard-local decision cache.
-    pub fn with_decision_cache(mut self, enabled: bool) -> Self {
-        self.decision_cache = enabled;
         self
     }
 
@@ -135,9 +136,9 @@ impl NetConfig {
     }
 }
 
-/// Running binary server: acceptor + shard threads over a shared
+/// Running server: acceptor + shard threads over a shared
 /// [`TuningService`].
-pub struct BinaryServer {
+pub struct Server {
     service: Arc<TuningService>,
     local_addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
@@ -149,9 +150,9 @@ pub struct BinaryServer {
     injector: Option<Arc<PanicInjector>>,
 }
 
-impl std::fmt::Debug for BinaryServer {
+impl std::fmt::Debug for Server {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("BinaryServer")
+        f.debug_struct("Server")
             .field("local_addr", &self.local_addr)
             .field("shards", &self.shard_handles.len())
             .field("open_conns", &self.open_conns.load(Ordering::Relaxed))
@@ -159,15 +160,15 @@ impl std::fmt::Debug for BinaryServer {
     }
 }
 
-impl BinaryServer {
+impl Server {
     /// Starts with default [`NetConfig`] on `addr` (port 0 picks a free
-    /// port; see [`BinaryServer::local_addr`]).
+    /// port; see [`Server::local_addr`]).
     ///
     /// # Errors
     ///
     /// Returns a message when the listener cannot bind or a reactor
     /// cannot be created.
-    pub fn start(service: Arc<TuningService>, addr: &str) -> Result<BinaryServer, String> {
+    pub fn start(service: Arc<TuningService>, addr: &str) -> Result<Server, String> {
         Self::start_with(service, addr, NetConfig::default())
     }
 
@@ -181,18 +182,24 @@ impl BinaryServer {
         service: Arc<TuningService>,
         addr: &str,
         config: NetConfig,
-    ) -> Result<BinaryServer, String> {
+    ) -> Result<Server, String> {
+        match config.wire {
+            WireMode::Json => Self::launch::<LineCodec>(service, addr, config),
+            WireMode::Binary => Self::launch::<FrameDecoder>(service, addr, config),
+        }
+    }
+
+    fn launch<C: Codec>(
+        service: Arc<TuningService>,
+        addr: &str,
+        config: NetConfig,
+    ) -> Result<Server, String> {
         let listener = TcpListener::bind(addr).map_err(|e| format!("bind {addr}: {e}"))?;
         let local_addr = listener
             .local_addr()
             .map_err(|e| format!("local_addr: {e}"))?;
         let shutdown = Arc::new(AtomicBool::new(false));
         let open_conns = Arc::new(AtomicUsize::new(0));
-        let shard_config = ShardConfig {
-            max_frame_bytes: config.max_frame_bytes,
-            read_deadline: config.read_deadline,
-            decision_cache: config.decision_cache,
-        };
         let shards = config.shards.max(1);
         let health = Arc::new(HealthBoard::new(shards));
         let injector = config
@@ -215,49 +222,46 @@ impl BinaryServer {
             let (tx, rx) = unbounded();
             senders.push(tx);
             let supervised = SupervisedShard {
-                shard_id,
-                service: Arc::clone(&service),
-                incoming: rx,
-                shutdown: Arc::clone(&shutdown),
-                open_conns: Arc::clone(&open_conns),
-                config: shard_config.clone(),
-                health: Arc::clone(&health),
-                injector: injector.clone(),
+                ctx: ShardContext {
+                    service: Arc::clone(&service),
+                    incoming: rx,
+                    shutdown: Arc::clone(&shutdown),
+                    open_conns: Arc::clone(&open_conns),
+                    read_deadline: config.read_deadline,
+                    health: Arc::clone(&health),
+                    shard_id,
+                    injector: injector.clone(),
+                },
                 waker_slot,
                 restart: config.restart.clone(),
             };
             let handle = std::thread::Builder::new()
                 .name(format!("icomm-net-shard-{shard_id}"))
-                .spawn(move || supervised.run(reactor))
+                .spawn(move || supervised.run::<C>(reactor))
                 .map_err(|e| format!("spawn shard: {e}"))?;
             shard_handles.push(handle);
         }
 
         let acceptor = {
-            let shutdown = Arc::clone(&shutdown);
-            let open_conns = Arc::clone(&open_conns);
-            let wakers = wakers.clone();
-            let metrics = Arc::clone(service.metrics_handle());
-            let health = Arc::clone(&health);
-            let max_connections = config.max_connections;
+            let state = AcceptLoop {
+                listener,
+                senders,
+                wakers: wakers.clone(),
+                shutdown: Arc::clone(&shutdown),
+                open_conns: Arc::clone(&open_conns),
+                metrics: Arc::clone(service.metrics_handle()),
+                health: Arc::clone(&health),
+                max_connections: config.max_connections,
+                at_capacity: C::encode(&Reply::Error("server at connection capacity")),
+                no_shards: C::encode(&Reply::Error("no shard event loops available")),
+            };
             std::thread::Builder::new()
                 .name("icomm-net-accept".to_string())
-                .spawn(move || {
-                    accept_loop(AcceptLoop {
-                        listener,
-                        senders,
-                        wakers,
-                        shutdown,
-                        open_conns,
-                        metrics,
-                        health,
-                        max_connections,
-                    })
-                })
+                .spawn(move || state.run())
                 .map_err(|e| format!("spawn acceptor: {e}"))?
         };
 
-        Ok(BinaryServer {
+        Ok(Server {
             service,
             local_addr,
             shutdown,
@@ -296,8 +300,10 @@ impl BinaryServer {
         self.injector.as_ref().map_or(0, |i| i.fired())
     }
 
-    /// Stops the acceptor and every shard, dropping open connections.
-    pub fn stop(mut self) {
+    /// Stops the acceptor and every shard, dropping open connections,
+    /// and hands the service back (e.g. to drain and persist it via
+    /// [`TuningService::shutdown`]).
+    pub fn stop(mut self) -> Arc<TuningService> {
         self.shutdown.store(true, Ordering::Release);
         // Unblock the acceptor with a throwaway connection; the flag is
         // checked before the connection would be served.
@@ -311,19 +317,13 @@ impl BinaryServer {
         for handle in self.shard_handles.drain(..) {
             let _ = handle.join();
         }
+        self.service
     }
 }
 
 /// Everything one supervised shard thread owns.
 struct SupervisedShard {
-    shard_id: usize,
-    service: Arc<TuningService>,
-    incoming: Receiver<TcpStream>,
-    shutdown: Arc<AtomicBool>,
-    open_conns: Arc<AtomicUsize>,
-    config: ShardConfig,
-    health: Arc<HealthBoard>,
-    injector: Option<Arc<PanicInjector>>,
+    ctx: ShardContext,
     waker_slot: WakerSlot,
     restart: RestartPolicy,
 }
@@ -334,8 +334,9 @@ impl SupervisedShard {
     /// fresh reactor, and go again — until the restart budget runs out
     /// or shutdown is requested. Connections queued on the incoming
     /// channel survive restarts (the receiver is cloned per attempt).
-    fn run(self, first_reactor: Reactor) {
-        let metrics = Arc::clone(self.service.metrics_handle());
+    fn run<C: Codec>(self, first_reactor: Reactor) {
+        let ctx = &self.ctx;
+        let metrics = Arc::clone(ctx.service.metrics_handle());
         let mut supervisor = Supervisor::new(self.restart.clone());
         let mut reactor = Some(first_reactor);
         loop {
@@ -352,21 +353,9 @@ impl SupervisedShard {
                 },
             };
             set_waker(&self.waker_slot, r.waker());
-            let cell = self.health.cell(self.shard_id);
+            let cell = ctx.health.cell(ctx.shard_id);
             cell.set_alive(true);
-            let shard = Shard::new(
-                Arc::clone(&self.service),
-                r,
-                self.incoming.clone(),
-                Arc::clone(&self.shutdown),
-                Arc::clone(&self.open_conns),
-                self.config.clone(),
-                ShardSupervision {
-                    health: Arc::clone(&self.health),
-                    shard_id: self.shard_id,
-                    injector: self.injector.clone(),
-                },
-            );
+            let shard = Shard::<C>::new(ctx.clone(), r);
             let outcome = catch_unwind(AssertUnwindSafe(move || shard.run()));
             cell.set_alive(false);
             match outcome {
@@ -380,18 +369,18 @@ impl SupervisedShard {
                     // slots back and count the orphans.
                     let orphaned = cell.take_orphans();
                     if orphaned > 0 {
-                        self.open_conns.fetch_sub(orphaned, Ordering::AcqRel);
+                        ctx.open_conns.fetch_sub(orphaned, Ordering::AcqRel);
                         metrics
                             .conns_orphaned
                             .fetch_add(orphaned as u64, Ordering::Relaxed);
                     }
-                    if self.shutdown.load(Ordering::Acquire) {
+                    if ctx.shutdown.load(Ordering::Acquire) {
                         break;
                     }
                     match supervisor.on_crash() {
                         Some(backoff) => {
                             std::thread::sleep(backoff);
-                            if self.shutdown.load(Ordering::Acquire) {
+                            if ctx.shutdown.load(Ordering::Acquire) {
                                 break;
                             }
                             metrics.shard_restarts.fetch_add(1, Ordering::Relaxed);
@@ -416,69 +405,64 @@ struct AcceptLoop {
     metrics: Arc<icomm_serve::Metrics>,
     health: Arc<HealthBoard>,
     max_connections: usize,
+    /// The encoded refusals, in the listener's codec.
+    at_capacity: Vec<u8>,
+    no_shards: Vec<u8>,
 }
 
-/// Accepts connections, enforcing the global cap, and deals them to
-/// *live* shards round-robin. A shard mid-restart (or past its restart
-/// budget) is skipped; with every shard down, clients get an explicit
-/// refusal frame instead of a connection that never answers.
-fn accept_loop(state: AcceptLoop) {
-    let AcceptLoop {
-        listener,
-        senders,
-        wakers,
-        shutdown,
-        open_conns,
-        metrics,
-        health,
-        max_connections,
-    } = state;
-    let mut next_shard = 0usize;
-    loop {
-        let (stream, _) = match listener.accept() {
-            Ok(pair) => pair,
-            Err(_) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
+impl AcceptLoop {
+    /// Accepts connections, enforcing the global cap, and deals them to
+    /// *live* shards round-robin. A shard mid-restart (or past its
+    /// restart budget) is skipped; with every shard down, clients get an
+    /// explicit refusal instead of a connection that never answers.
+    fn run(self) {
+        let mut next_shard = 0usize;
+        loop {
+            let (stream, _) = match self.listener.accept() {
+                Ok(pair) => pair,
+                Err(_) => {
+                    if self.shutdown.load(Ordering::Acquire) {
+                        return;
+                    }
+                    continue;
                 }
+            };
+            if self.shutdown.load(Ordering::Acquire) {
+                return;
+            }
+            self.metrics.conn_accepted.fetch_add(1, Ordering::Relaxed);
+            if self.open_conns.load(Ordering::Acquire) >= self.max_connections {
+                self.metrics.conn_rejected.fetch_add(1, Ordering::Relaxed);
+                refuse(stream, &self.at_capacity);
                 continue;
             }
-        };
-        if shutdown.load(Ordering::Acquire) {
-            return;
+            // Prefer the round-robin target but route around dead shards.
+            let start = next_shard;
+            next_shard = next_shard.wrapping_add(1);
+            let shards = self.senders.len();
+            let Some(shard) = (0..shards)
+                .map(|probe| (start + probe) % shards)
+                .find(|s| self.health.cell(*s).is_alive())
+            else {
+                // Every shard is down (all mid-restart or out of budget).
+                self.metrics.conn_rejected.fetch_add(1, Ordering::Relaxed);
+                refuse(stream, &self.no_shards);
+                continue;
+            };
+            self.open_conns.fetch_add(1, Ordering::AcqRel);
+            if self.senders[shard].send(stream).is_err() {
+                // Shard is gone (shutdown race); release the slot.
+                self.open_conns.fetch_sub(1, Ordering::AcqRel);
+                return;
+            }
+            wake_slot(&self.wakers[shard]);
         }
-        metrics.conn_accepted.fetch_add(1, Ordering::Relaxed);
-        if open_conns.load(Ordering::Acquire) >= max_connections {
-            metrics.conn_rejected.fetch_add(1, Ordering::Relaxed);
-            refuse(stream, "server at connection capacity");
-            continue;
-        }
-        // Prefer the round-robin target but route around dead shards.
-        let start = next_shard;
-        next_shard = next_shard.wrapping_add(1);
-        let shard = (0..senders.len())
-            .map(|probe| (start + probe) % senders.len())
-            .find(|s| health.cell(*s).is_alive());
-        let Some(shard) = shard else {
-            // Every shard is down (all mid-restart or out of budget).
-            metrics.conn_rejected.fetch_add(1, Ordering::Relaxed);
-            refuse(stream, "no shard event loops available");
-            continue;
-        };
-        open_conns.fetch_add(1, Ordering::AcqRel);
-        if senders[shard].send(stream).is_err() {
-            // Shard is gone (shutdown race); release the slot.
-            open_conns.fetch_sub(1, Ordering::AcqRel);
-            return;
-        }
-        wake_slot(&wakers[shard]);
     }
 }
 
 /// Tells a refused client why it is being dropped. Best-effort and
-/// blocking is fine: the frame is one small write on a fresh socket.
-fn refuse(mut stream: TcpStream, reason: &str) {
-    let frame = frame_bytes(Opcode::Error, &encode_error(reason));
+/// blocking is fine: the reply is one small write on a fresh socket.
+fn refuse(mut stream: TcpStream, reply: &[u8]) {
     let _ = stream.set_write_timeout(Some(Duration::from_millis(500)));
-    let _ = stream.write_all(&frame);
+    let _ = stream.write_all(reply);
 }

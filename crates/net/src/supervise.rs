@@ -2,7 +2,7 @@
 //! deterministic panic injection.
 //!
 //! Every shard event loop runs under a supervisor (see
-//! [`crate::BinaryServer`]) that catches panics, reconciles the
+//! [`crate::Server`]) that catches panics, reconciles the
 //! connections the dead shard orphaned, and restarts the loop under a
 //! bounded-backoff [`icomm_resilience::RestartPolicy`]. The shared
 //! [`HealthBoard`] is the supervision tree's observable state: one cell

@@ -206,6 +206,13 @@ pub struct FrameDecoder {
     max_len: u32,
 }
 
+impl Default for FrameDecoder {
+    /// A decoder with the default frame bound.
+    fn default() -> Self {
+        FrameDecoder::new(DEFAULT_MAX_FRAME_LEN)
+    }
+}
+
 impl FrameDecoder {
     /// Creates a decoder enforcing `max_len` as the frame-length bound.
     pub fn new(max_len: u32) -> Self {
@@ -214,11 +221,6 @@ impl FrameDecoder {
             pos: 0,
             max_len: max_len.max(MIN_FRAME_LEN),
         }
-    }
-
-    /// Creates a decoder with the default frame bound.
-    pub fn with_default_limit() -> Self {
-        FrameDecoder::new(DEFAULT_MAX_FRAME_LEN)
     }
 
     /// Appends received bytes.
@@ -732,7 +734,7 @@ mod tests {
     fn frame_round_trips() {
         let body = encode_tune_request(&sample_request());
         let bytes = frame_bytes(Opcode::Tune, &body);
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&bytes);
         let frame = decoder.next_frame().unwrap().unwrap();
         assert_eq!(frame.opcode, Opcode::Tune);
@@ -745,7 +747,7 @@ mod tests {
     fn decoder_reassembles_split_frames() {
         let body = encode_tune_response(&sample_response());
         let bytes = frame_bytes(Opcode::TuneReply, &body);
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         // Feed one byte at a time: no frame until the last byte.
         for (i, byte) in bytes.iter().enumerate() {
             if i + 1 < bytes.len() {
@@ -769,7 +771,7 @@ mod tests {
             Opcode::Characterize,
             &encode_characterize_request("nano"),
         ));
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&bytes);
         assert_eq!(decoder.next_frame().unwrap().unwrap().opcode, Opcode::Stats);
         let second = decoder.next_frame().unwrap().unwrap();
@@ -789,7 +791,7 @@ mod tests {
 
     #[test]
     fn short_length_is_rejected() {
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&1u32.to_le_bytes());
         assert!(matches!(
             decoder.next_frame(),
@@ -802,7 +804,7 @@ mod tests {
         let mut bytes = frame_bytes(Opcode::Tune, &encode_tune_request(&sample_request()));
         let flip = bytes.len() / 2;
         bytes[flip] ^= 0x40;
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&bytes);
         assert!(matches!(
             decoder.next_frame(),
@@ -817,7 +819,7 @@ mod tests {
         let mut bytes = (covered.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&covered);
         bytes.extend_from_slice(&icomm_persist::crc32(&covered).to_le_bytes());
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&bytes);
         assert_eq!(decoder.next_frame(), Err(WireError::BadVersion(9)));
 
@@ -825,7 +827,7 @@ mod tests {
         let mut bytes = (covered.len() as u32).to_le_bytes().to_vec();
         bytes.extend_from_slice(&covered);
         bytes.extend_from_slice(&icomm_persist::crc32(&covered).to_le_bytes());
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&bytes);
         assert_eq!(decoder.next_frame(), Err(WireError::BadOpcode(0x55)));
     }

@@ -85,7 +85,7 @@ fn tune_response() -> impl Strategy<Value = TuneResponse> {
 /// Splits `bytes` into decoder-feed chunks at pseudo-random points
 /// derived from `salt`, and decodes exactly one frame.
 fn decode_chunked(bytes: &[u8], salt: u64) -> Result<Option<icomm_net::Frame>, WireError> {
-    let mut decoder = FrameDecoder::with_default_limit();
+    let mut decoder = FrameDecoder::default();
     let mut offset = 0usize;
     let mut state = salt | 1;
     while offset < bytes.len() {
@@ -185,7 +185,7 @@ proptest! {
         let framed = frame_bytes(Opcode::Tune, &encode_tune_request(&request));
         // Cut anywhere from the empty prefix to one byte short.
         let keep = (cut % framed.len() as u64) as usize;
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&framed[..keep]);
         match decoder.next_frame() {
             Ok(None) => {}
@@ -206,7 +206,7 @@ proptest! {
         let covered_bits = (framed.len() - 4) * 8;
         let bit = (flip % covered_bits as u64) as usize;
         framed[4 + bit / 8] ^= 1 << (bit % 8);
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&framed);
         match decoder.next_frame() {
             Err(WireError::BadCrc { .. }) => {}
@@ -223,7 +223,7 @@ proptest! {
         let mut corrupted = framed.clone();
         let bit = (flip % 32) as usize;
         corrupted[bit / 8] ^= 1 << (bit % 8);
-        let mut decoder = FrameDecoder::with_default_limit();
+        let mut decoder = FrameDecoder::default();
         decoder.extend(&corrupted);
         match decoder.next_frame() {
             // Shorter advertised length: trailer misaligns, CRC fails.

@@ -11,8 +11,8 @@
 //!   bounded retry, and panic isolation.
 //! - [`service`] — the in-process API: submit [`TuneRequest`] batches,
 //!   get [`TuneResponse`]s, read [`metrics`].
-//! - [`server`] — line-delimited JSON over TCP for out-of-process
-//!   clients (`icomm serve`).
+//! - [`protocol`] — the request, response and stats types both wires
+//!   carry; the TCP listener that speaks them is `icomm-net`'s.
 //!
 //! A batch of a hundred requests spanning the four built-in boards costs
 //! four characterization sweeps — every other request is a registry hit
@@ -27,7 +27,6 @@ pub mod engine;
 pub mod metrics;
 pub mod protocol;
 pub mod registry;
-pub mod server;
 pub mod service;
 
 pub use admission::{
@@ -37,5 +36,4 @@ pub use engine::{BatchHandle, Engine, EngineConfig, JobError, JobOutcome};
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use protocol::{StatsQuery, StatsReport, TuneRequest, TuneResponse};
 pub use registry::{EntryMeta, LookupOutcome, Registry, RegistrySnapshot};
-pub use server::{Server, ServerConfig};
 pub use service::{CharacterizerFn, ServiceBatch, ServiceConfig, TuningService};

@@ -136,12 +136,12 @@ pub struct Metrics {
     /// TCP connections refused because the server was at its connection
     /// cap.
     pub conn_rejected: AtomicU64,
-    /// Connections closed because a read exceeded the per-connection
-    /// deadline.
+    /// Connections dropped for stalling mid-request past the read
+    /// deadline, or for leaving their replies unread that long.
     pub read_timeouts: AtomicU64,
-    /// Request lines discarded for exceeding the line-length bound.
+    /// JSON request lines refused for exceeding the line-length bound.
     pub oversized_lines: AtomicU64,
-    /// Request lines that were not valid request JSON.
+    /// JSON request lines that were not valid request JSON.
     pub malformed_requests: AtomicU64,
     /// Registry snapshots that failed verification on load and were
     /// discarded (the registry rebuilds from scratch).
@@ -176,8 +176,8 @@ pub struct Metrics {
     pub batches_submitted: AtomicU64,
     /// Requests carried by those batches.
     pub batched_requests: AtomicU64,
-    /// Connections dropped on a transport-setup error (stream clone,
-    /// nonblocking/timeout configuration, handler spawn).
+    /// Connections dropped on a transport error (nonblocking setup,
+    /// reactor registration, a failed read or write).
     pub conn_errors: AtomicU64,
     /// Shard event loops resurrected by the supervisor after a panic.
     pub shard_restarts: AtomicU64,

@@ -169,11 +169,6 @@ impl Registry {
         self.quarantined.write().insert(key)
     }
 
-    /// Whether `key` is on the quarantine list.
-    pub fn is_quarantined(&self, key: u64) -> bool {
-        self.quarantined.read().contains(&key)
-    }
-
     /// The quarantine list, sorted for deterministic reporting.
     pub fn quarantined_sources(&self) -> Vec<u64> {
         let mut keys: Vec<u64> = self.quarantined.read().iter().copied().collect();

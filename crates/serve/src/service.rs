@@ -229,11 +229,6 @@ impl TuningService {
         }
     }
 
-    /// Starts a service with default (full-sweep) configuration.
-    pub fn start_default() -> Self {
-        TuningService::start(ServiceConfig::default())
-    }
-
     /// The shared characterization registry.
     pub fn registry(&self) -> &Arc<Registry> {
         &self.registry
@@ -342,15 +337,6 @@ impl TuningService {
             inner: self.engine.submit_batch(admitted),
             shed,
         }
-    }
-
-    /// Persists the registry to `path` now.
-    ///
-    /// # Errors
-    ///
-    /// Returns a message on serialization or I/O failure.
-    pub fn save_registry(&self, path: &std::path::Path) -> Result<(), String> {
-        self.registry.save(path)
     }
 
     /// Drains every queued request, stops the workers, and — when the

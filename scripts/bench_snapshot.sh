@@ -1,23 +1,21 @@
 #!/usr/bin/env bash
-# Refreshes the committed benchmark baselines: runs the criterion fleet,
-# sched, mem, and serve benchmarks, then captures the headline numbers
-# into BENCH_fleet.json (p50/p99 serve latency, fleet throughput,
-# warm-start and transfer hit rates), BENCH_sched.json (deadline-miss
-# rates and slowdowns per policy on the contended TX2 mix),
-# BENCH_mem.json (the UM-vs-UPM page-size crossover on the coherent
-# boards), BENCH_footprint.json (what a binding memory cap costs the
-# pressure mix on a TX2: demotions, resident bytes, co-run wall), and
-# BENCH_serve.json (JSON-vs-binary serving-plane throughput and
-# decision parity). The fleet/sched/mem/footprint captures use fixed seeds, so
-# that JSON is reproducible and diffs in it are real behavior changes;
-# the serve capture is wall-clock and the headline there is the *ratio*
-# (binary vs JSON), which is stable even when absolute rps is not.
+# Refreshes the committed behaviour snapshots: runs the criterion fleet,
+# sched, mem, footprint and synthesis benchmarks, then captures the
+# headline numbers into BENCH_fleet.json (p50/p99 serve latency, fleet
+# throughput, warm-start and transfer hit rates), BENCH_sched.json
+# (deadline-miss rates and slowdowns per policy on the contended TX2
+# mix), BENCH_mem.json (the UM-vs-UPM page-size crossover on the
+# coherent boards), BENCH_footprint.json (what a binding memory cap costs
+# the pressure mix on a TX2: demotions, resident bytes, co-run wall) and
+# BENCH_synth.json. Every capture uses fixed seeds, so that JSON is
+# reproducible and diffs in it are real behavior changes. Wall-clock
+# serving figures come from the repository benchmark's serve-json and
+# serve-binary workloads (BENCHMARK.json), not from here.
 #
-# With --check, nothing is overwritten: the deterministic captures
-# (fleet, sched, mem, footprint, synth) are regenerated into a temporary
-# directory and compared byte for byte with the committed files, and the
-# script exits non-zero if any differs. It runs no criterion benchmark
-# and no wall-clock serve capture, so it pins the simulator's outputs.
+# With --check, nothing is overwritten: the captures are regenerated
+# into a temporary directory and compared byte for byte with the
+# committed files, and the script exits non-zero if any differs. It runs
+# no criterion benchmark, so it pins the simulator's outputs.
 #
 # Usage: ./scripts/bench_snapshot.sh [--skip-criterion | --check]
 set -euo pipefail
@@ -56,8 +54,6 @@ if [[ "$SKIP_CRITERION" -eq 0 ]]; then
     cargo bench -p icomm-bench --bench footprint_assignment
     echo "==> cargo bench -p icomm-bench --bench rule_synthesis"
     cargo bench -p icomm-bench --bench rule_synthesis
-    echo "==> cargo bench -p icomm-bench --bench serve_throughput"
-    cargo bench -p icomm-bench --bench serve_throughput
 fi
 
 echo "==> capturing BENCH_fleet.json (seed 7, 256 devices, nano,tx2,xavier)"
@@ -251,47 +247,3 @@ if [[ "$CHECK" -eq 1 ]]; then
     done
     exit "$status"
 fi
-
-echo "==> capturing BENCH_serve.json (both planes, 2000 requests each, 8 conns, batch 16)"
-SERVE="$(target/release/icomm servebench --requests 2000 --conns 8 --workers 4 --batch 16 --json)"
-python3 - "$SERVE" <<'EOF'
-import json
-import os
-import sys
-
-report = json.loads(sys.argv[1])
-if report["parity_mismatches"] != 0:
-    sys.exit(f"serving planes disagree on {report['parity_mismatches']} decision payloads")
-if report["json_failed"] != 0 or report["binary_failed"] != 0:
-    sys.exit("servebench dropped requests; baseline not captured")
-baseline = {
-    "source": "icomm servebench --requests 2000 --conns 8 --workers 4 --batch 16 --json",
-    "note": "wall-clock serving-plane comparison; the stable headline is the binary-vs-JSON speedup ratio, not absolute rps; regenerate with scripts/bench_snapshot.sh",
-    "requests_per_plane": report["requests_per_plane"],
-    "conns": report["conns"],
-    "workers": report["workers"],
-    "batch": report["batch"],
-    "json_rps": round(report["json_rps"], 1),
-    "json_p50_us": report["json_p50_us"],
-    "json_p99_us": report["json_p99_us"],
-    "binary_rps": round(report["binary_rps"], 1),
-    "binary_p50_us": report["binary_p50_us"],
-    "binary_p99_us": report["binary_p99_us"],
-    "speedup": round(report["speedup"], 2),
-    "parity_checked": report["parity_checked"],
-    "parity_mismatches": report["parity_mismatches"],
-    "decision_cache_hits": report["decision_cache_hits"],
-    "batches_submitted": report["batches_submitted"],
-}
-if baseline["speedup"] < 10.0:
-    print(
-        f"WARNING: binary plane only {baseline['speedup']}x over JSON (target >= 10x)",
-        file=sys.stderr,
-    )
-with open(os.path.join(os.environ["OUT"], "BENCH_serve.json"), "w") as f:
-    json.dump(baseline, f, indent=2)
-    f.write("\n")
-print(json.dumps(baseline, indent=2))
-EOF
-
-echo "baseline written to BENCH_serve.json"

@@ -150,12 +150,14 @@ grep -q '"recommended":"CoherentUpm"' "$MEM_TMP/mem-2m-a.json" || {
 }
 echo "    pages 4k -> keep UM, pages 2m -> coherent UPM, replays byte-identical"
 
-echo "==> net smoke (binary round-trip, JSON/binary parity, hostile survival)"
-# The servebench harness runs both serving planes over one shared
-# service: every request must round-trip on both wires, the decision
-# payloads must be byte-identical across planes, and all six hostile
-# binary probes (garbage, oversized, truncated, CRC-corrupt) must be
-# refused with the faults showing up in the serve counters.
+echo "==> net smoke (both codecs round-trip, JSON/binary parity, hostile survival)"
+# The servebench harness runs a JSON and a binary listener over one
+# shared service: every request must round-trip on both wires, the
+# decision payloads must be byte-identical across them, and all nine
+# hostile probes must be refused — six binary (garbage, oversized,
+# truncated, CRC-corrupt) and three line-JSON (garbage lines, an
+# over-long line, a mid-line stall) — with the faults showing up in the
+# serve counters.
 NET_TMP="$(mktemp -d)"
 trap 'rm -rf "$CHAOS_TMP" "$FLEET_TMP" "$SCHED_TMP" "$FP_TMP" "$MEM_TMP" "$NET_TMP"' EXIT
 "$ICOMM" servebench --requests 60 --conns 4 --workers 2 --batch 8 \
@@ -172,15 +174,15 @@ grep -q '"parity_mismatches":0,' "$NET_TMP/net.json" || {
     echo "net smoke: serving planes disagree on decision payloads" >&2
     exit 1
 }
-grep -q '"hostile_defended":6}' "$NET_TMP/net.json" || {
-    echo "net smoke: a hostile binary client got through" >&2
+grep -q '"hostile_defended":9}' "$NET_TMP/net.json" || {
+    echo "net smoke: a hostile client got through" >&2
     exit 1
 }
 if grep -q '"frame_faults":0,' "$NET_TMP/net.json"; then
     echo "net smoke: hostile frames were not counted in the serve metrics" >&2
     exit 1
 fi
-echo "    both planes clean, decisions byte-identical, 6/6 hostile probes defended"
+echo "    both codecs clean, decisions byte-identical, 9/9 hostile probes defended"
 
 echo "==> resilience smoke (fleet chaos: churn + poisoning + shard panics)"
 # A 1000-device fleet with 10 % churn, 10 % registry poisoning, and two

@@ -26,7 +26,7 @@
 //! | [`core`] | `icomm-core` | performance model (Eqns. 1–4) + decision flow (Fig. 2) |
 //! | [`apps`] | `icomm-apps` | Shack–Hartmann, ORB and lane-detection case studies |
 //! | [`persist`] | `icomm-persist` | JSON persistence for characterizations and reports |
-//! | [`serve`] | `icomm-serve` | concurrent tuning service: sharded registry, worker pool, TCP front end |
+//! | [`serve`] | `icomm-serve` | concurrent tuning service: sharded registry, worker pool, request/response protocol |
 //! | [`adapt`] | `icomm-adapt` | online phase-aware adaptation: drift detector + switch controller |
 //! | [`chaos`] | `icomm-chaos` | deterministic fault injection across the profile→adapt→serve→persist stack |
 //! | [`fleet`] | `icomm-fleet` | fleet-scale load generation, federated characterization transfer, admission-control validation |

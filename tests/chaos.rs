@@ -19,7 +19,8 @@ use icomm::adapt::{AdaptController, ControllerConfig};
 use icomm::chaos::{chaos_matrix, run_chaos, torture_snapshot, ChaosReport, FaultPlan};
 use icomm::microbench::quick_characterize_device;
 use icomm::models::CommModelKind;
-use icomm::serve::{Server, ServerConfig, ServiceConfig, TuneRequest, TuningService};
+use icomm::net::{NetConfig, Server, WireMode};
+use icomm::serve::{ServiceConfig, TuneRequest, TuningService};
 use icomm::soc::DeviceProfile;
 
 fn setup() -> (
@@ -147,11 +148,9 @@ fn tcp_server_survives_hostile_clients() {
     let server = Server::start_with(
         service,
         "127.0.0.1:0",
-        ServerConfig {
-            read_timeout: Some(Duration::from_millis(200)),
-            max_line_bytes: 4096,
-            ..ServerConfig::default()
-        },
+        NetConfig::default()
+            .with_wire(WireMode::Json)
+            .with_read_deadline(Some(Duration::from_millis(200))),
     )
     .expect("bind");
     let addr = server.local_addr();

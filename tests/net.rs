@@ -20,8 +20,8 @@ use std::time::Duration;
 use icomm::chaos::tcp::{
     binary_corrupt_crc, binary_garbage, binary_oversized, binary_truncated, BinaryDefense,
 };
-use icomm::net::{BinaryClient, BinaryServer, NetConfig, WireMode};
-use icomm::serve::{Server, ServiceConfig, TuneRequest, TuningService};
+use icomm::net::{BinaryClient, NetConfig, Server, WireMode};
+use icomm::serve::{ServiceConfig, TuneRequest, TuningService};
 
 fn quick_service(workers: usize) -> Arc<TuningService> {
     Arc::new(TuningService::start(
@@ -32,7 +32,7 @@ fn quick_service(workers: usize) -> Arc<TuningService> {
 #[test]
 fn every_request_opcode_round_trips() {
     let service = quick_service(2);
-    let server = BinaryServer::start(service, "127.0.0.1:0").expect("bind");
+    let server = Server::start(service, "127.0.0.1:0").expect("bind");
     let mut client = BinaryClient::connect_timeout(server.local_addr(), Duration::from_secs(30))
         .expect("connect");
 
@@ -79,8 +79,13 @@ fn every_request_opcode_round_trips() {
 #[test]
 fn json_and_binary_planes_agree_on_decisions() {
     let service = quick_service(2);
-    let json = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("json bind");
-    let binary = BinaryServer::start(Arc::clone(&service), "127.0.0.1:0").expect("binary bind");
+    let json = Server::start_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        NetConfig::default().with_wire(WireMode::Json),
+    )
+    .expect("json bind");
+    let binary = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("binary bind");
 
     let cases = [
         ("tx2", "orb", None),
@@ -123,7 +128,7 @@ fn json_and_binary_planes_agree_on_decisions() {
 #[test]
 fn a_thousand_concurrent_connections_lose_nothing() {
     let service = quick_service(4);
-    let server = BinaryServer::start_with(
+    let server = Server::start_with(
         Arc::clone(&service),
         "127.0.0.1:0",
         NetConfig::default()
@@ -163,7 +168,7 @@ fn a_thousand_concurrent_connections_lose_nothing() {
 #[test]
 fn hostile_binary_clients_are_counted_and_refused() {
     let service = quick_service(2);
-    let server = BinaryServer::start_with(
+    let server = Server::start_with(
         Arc::clone(&service),
         "127.0.0.1:0",
         NetConfig::default().with_read_deadline(Some(Duration::from_millis(300))),
@@ -230,7 +235,7 @@ fn hostile_binary_clients_are_counted_and_refused() {
 #[test]
 fn connection_cap_refuses_with_an_error_frame() {
     let service = quick_service(1);
-    let server = BinaryServer::start_with(
+    let server = Server::start_with(
         Arc::clone(&service),
         "127.0.0.1:0",
         NetConfig::default().with_shards(1).with_max_connections(2),
@@ -276,8 +281,13 @@ fn connection_cap_refuses_with_an_error_frame() {
 #[test]
 fn loadgen_drives_both_planes() {
     let service = quick_service(2);
-    let json = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("json bind");
-    let binary = BinaryServer::start(Arc::clone(&service), "127.0.0.1:0").expect("binary bind");
+    let json = Server::start_with(
+        Arc::clone(&service),
+        "127.0.0.1:0",
+        NetConfig::default().with_wire(WireMode::Json),
+    )
+    .expect("json bind");
+    let binary = Server::start(Arc::clone(&service), "127.0.0.1:0").expect("binary bind");
 
     icomm::net::warmup(binary.local_addr(), WireMode::Binary).expect("warmup");
 

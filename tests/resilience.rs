@@ -17,9 +17,7 @@
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use icomm::net::{
-    BinaryClient, BinaryServer, NetConfig, PanicPlan, ResilienceConfig, ResilientClient,
-};
+use icomm::net::{BinaryClient, NetConfig, PanicPlan, ResilienceConfig, ResilientClient, Server};
 use icomm::resilience::{BreakerConfig, BreakerState, RestartPolicy, RetryPolicy};
 use icomm::serve::{ServiceConfig, TuneRequest, TuningService};
 
@@ -53,7 +51,7 @@ fn injected_shard_panics_are_survived_with_zero_lost_responses() {
     let service = quick_service(2);
     // Panic every 40 frames, three times, on a two-shard plane with a
     // fast restart schedule.
-    let server = BinaryServer::start_with(
+    let server = Server::start_with(
         Arc::clone(&service),
         "127.0.0.1:0",
         NetConfig::default()
@@ -103,7 +101,7 @@ fn injected_shard_panics_are_survived_with_zero_lost_responses() {
 #[test]
 fn dead_shard_connections_see_clean_eof_while_others_keep_serving() {
     let service = quick_service(2);
-    let server = BinaryServer::start_with(
+    let server = Server::start_with(
         Arc::clone(&service),
         "127.0.0.1:0",
         NetConfig::default()
@@ -213,7 +211,7 @@ fn dead_shard_connections_see_clean_eof_while_others_keep_serving() {
 #[test]
 fn health_opcode_reports_liveness_over_the_wire() {
     let service = quick_service(1);
-    let server = BinaryServer::start_with(
+    let server = Server::start_with(
         Arc::clone(&service),
         "127.0.0.1:0",
         NetConfig::default().with_shards(3),
@@ -297,7 +295,7 @@ fn exhausted_restart_budget_takes_the_shard_out_of_rotation() {
     let service = quick_service(1);
     // A single shard with zero allowed restarts and an endless supply
     // of injected panics: the first crash is final.
-    let server = BinaryServer::start_with(
+    let server = Server::start_with(
         Arc::clone(&service),
         "127.0.0.1:0",
         NetConfig::default()

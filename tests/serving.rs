@@ -9,7 +9,8 @@ use std::sync::Arc;
 use icomm::core::{recommend_for_device, Tuner};
 use icomm::microbench::{quick_characterize_device, DeviceCharacterization};
 use icomm::models::CommModelKind;
-use icomm::serve::{Registry, Server, ServiceConfig, TuneRequest, TuneResponse, TuningService};
+use icomm::net::{NetConfig, Server, WireMode};
+use icomm::serve::{Registry, ServiceConfig, TuneRequest, TuneResponse, TuningService};
 use icomm::soc::DeviceProfile;
 
 const BOARD_NAMES: [&str; 6] = [
@@ -276,7 +277,12 @@ fn tcp_server_round_trips_and_shares_the_registry() {
     use std::net::TcpStream;
 
     let service = Arc::new(quick_service(2));
-    let server = Server::start(service, "127.0.0.1:0").expect("bind ephemeral port");
+    let server = Server::start_with(
+        service,
+        "127.0.0.1:0",
+        NetConfig::default().with_wire(WireMode::Json),
+    )
+    .expect("bind ephemeral port");
     let addr = server.local_addr();
 
     let send = |requests: &[TuneRequest]| -> Vec<TuneResponse> {
