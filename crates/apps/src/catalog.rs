@@ -1,11 +1,15 @@
-//! Name resolution for the serving protocol: boards, applications, and
-//! communication models addressed by the strings clients send.
+//! Name resolution for every surface that takes names from a user or a
+//! client — the CLI, the serving protocol, the synthesis sweep and the
+//! fleet — so one table decides which boards, applications and
+//! communication models exist and what their aliases are.
 
-use icomm_apps::{LaneApp, OrbApp, ShwfsApp};
 use icomm_models::{CommModelKind, Workload};
 use icomm_soc::DeviceProfile;
 
-/// The board names the service accepts (canonical forms).
+use crate::{LaneApp, OrbApp, ShwfsApp};
+
+/// The board names every surface accepts (canonical forms), in
+/// [`DeviceProfile::extended_boards`] order.
 pub const BOARD_NAMES: [&str; 6] = [
     "nano",
     "tx2",
@@ -15,13 +19,13 @@ pub const BOARD_NAMES: [&str; 6] = [
     "gh-like",
 ];
 
-/// The application names the service accepts.
+/// The application names every surface accepts.
 pub const APP_NAMES: [&str; 3] = ["shwfs", "orb", "lane"];
 
-/// The communication-model names the service accepts.
+/// The communication-model names every surface accepts.
 pub const MODEL_NAMES: [&str; 5] = ["sc", "um", "zc", "sc+", "upm"];
 
-/// Resolves a board name (case-insensitive, same aliases as the CLI).
+/// Resolves a board name (case-insensitive, with aliases).
 ///
 /// # Errors
 ///
@@ -41,7 +45,7 @@ pub fn board_by_name(name: &str) -> Result<DeviceProfile, String> {
     }
 }
 
-/// Builds the workload for an application name.
+/// Builds the workload for an application name (case-insensitive).
 ///
 /// # Errors
 ///
@@ -58,7 +62,7 @@ pub fn workload_by_name(app: &str) -> Result<Workload, String> {
     }
 }
 
-/// Resolves a communication-model name.
+/// Resolves a communication-model name (case-insensitive, with aliases).
 ///
 /// # Errors
 ///
@@ -95,6 +99,34 @@ mod tests {
     }
 
     #[test]
+    fn board_names_resolve_one_to_one_onto_the_presets() {
+        // Same boards, same order: a new preset cannot go missing from
+        // the names every surface accepts, and no name resolves twice.
+        let resolved: Vec<DeviceProfile> = BOARD_NAMES
+            .iter()
+            .map(|name| board_by_name(name).expect("catalog board resolves"))
+            .collect();
+        assert_eq!(resolved, DeviceProfile::extended_boards());
+    }
+
+    #[test]
+    fn board_aliases_resolve() {
+        assert!(board_by_name("Xavier").is_ok());
+        assert!(board_by_name("jetson-agx-xavier").is_ok());
+        assert!(board_by_name("ORIN").is_ok());
+        assert!(board_by_name("MI300A").is_ok());
+        assert!(board_by_name("grace-hopper-like").is_ok());
+        assert!(board_by_name("nope").is_err());
+    }
+
+    #[test]
+    fn workloads_resolve() {
+        assert!(workload_by_name("shwfs").unwrap().name.contains("shwfs"));
+        assert!(workload_by_name("orb").unwrap().name.contains("orb"));
+        assert!(workload_by_name("lane").unwrap().name.contains("lane"));
+    }
+
+    #[test]
     fn unknown_names_list_valid_ones() {
         let err = board_by_name("pi5").unwrap_err();
         assert!(err.contains("nano") && err.contains("orin-like"), "{err}");
@@ -102,5 +134,23 @@ mod tests {
         assert!(err.contains("shwfs") && err.contains("lane"), "{err}");
         let err = model_by_name("warp").unwrap_err();
         assert!(err.contains("sc") && err.contains("zc"), "{err}");
+    }
+
+    #[test]
+    fn unknown_app_lists_valid_names() {
+        let err = workload_by_name("quake").unwrap_err();
+        assert!(err.contains("unknown app 'quake'"), "{err}");
+        for name in APP_NAMES {
+            assert!(err.contains(name), "missing {name} in: {err}");
+        }
+    }
+
+    #[test]
+    fn unknown_board_lists_valid_names() {
+        let err = board_by_name("pi5").unwrap_err();
+        assert!(err.contains("unknown board 'pi5'"), "{err}");
+        for name in BOARD_NAMES {
+            assert!(err.contains(name), "missing {name} in: {err}");
+        }
     }
 }

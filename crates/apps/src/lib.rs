@@ -25,11 +25,13 @@
 //! model — the test inputs of the online adaptation layer
 //! (`icomm-adapt`) — and the apps combine into named co-run tenant
 //! mixes ([`corun`]), the inputs of the multi-tenant scheduler
-//! (`icomm-sched`).
+//! (`icomm-sched`). The [`catalog`] resolves the board, application and
+//! model names every surface accepts.
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
+pub mod catalog;
 pub mod corun;
 pub mod image;
 pub mod lane;

@@ -1,8 +1,9 @@
 //! Argument parsing for the `icomm` CLI (std-only, no clap).
 
+use icomm_apps::catalog::{board_by_name, model_by_name, APP_NAMES, BOARD_NAMES};
 use icomm_models::CommModelKind;
 use icomm_net::WireMode;
-use icomm_soc::{DeviceProfile, PageSize};
+use icomm_soc::PageSize;
 
 /// A parsed CLI invocation.
 #[derive(Debug, Clone, PartialEq)]
@@ -236,43 +237,6 @@ impl std::fmt::Display for ParseArgsError {
 
 impl std::error::Error for ParseArgsError {}
 
-/// Resolves a board name (case-insensitive, several aliases).
-pub fn board_by_name(name: &str) -> Option<DeviceProfile> {
-    match name.to_ascii_lowercase().as_str() {
-        "nano" | "jetson-nano" => Some(DeviceProfile::jetson_nano()),
-        "tx2" | "jetson-tx2" => Some(DeviceProfile::jetson_tx2()),
-        "xavier" | "agx-xavier" | "jetson-agx-xavier" => Some(DeviceProfile::jetson_agx_xavier()),
-        "orin" | "orin-like" => Some(DeviceProfile::orin_like()),
-        "mi300a" | "mi300a-like" => Some(DeviceProfile::mi300a_like()),
-        "gh" | "gh-like" | "grace-hopper-like" => Some(DeviceProfile::gh_like()),
-        _ => None,
-    }
-}
-
-/// The board names `board_by_name` accepts (canonical forms).
-pub const BOARD_NAMES: [&str; 6] = [
-    "nano",
-    "tx2",
-    "xavier",
-    "orin-like",
-    "mi300a-like",
-    "gh-like",
-];
-
-/// The application names the CLI knows.
-pub const APP_NAMES: [&str; 3] = ["shwfs", "orb", "lane"];
-
-fn model_by_name(name: &str) -> Option<CommModelKind> {
-    match name.to_ascii_lowercase().as_str() {
-        "sc" | "standard-copy" => Some(CommModelKind::StandardCopy),
-        "um" | "unified-memory" => Some(CommModelKind::UnifiedMemory),
-        "zc" | "zero-copy" => Some(CommModelKind::ZeroCopy),
-        "sc+" | "sc-async" | "double-buffered" => Some(CommModelKind::StandardCopyAsync),
-        "upm" | "coherent-upm" | "coherent-unified-memory" => Some(CommModelKind::CoherentUpm),
-        _ => None,
-    }
-}
-
 /// Parses the argument vector (without the program name).
 ///
 /// # Errors
@@ -329,7 +293,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseArgsError> {
                         let value = it.next().ok_or_else(|| {
                             ParseArgsError("--current needs a model (sc|um|zc)".into())
                         })?;
-                        current = model_by_name(value).ok_or_else(|| {
+                        current = model_by_name(value).map_err(|_| {
                             ParseArgsError(format!("unknown model '{value}' (sc|um|zc|sc+|upm)"))
                         })?;
                     }
@@ -935,7 +899,7 @@ impl ServiceOptions {
 }
 
 fn ensure_board(name: &str) -> Result<(), ParseArgsError> {
-    if board_by_name(name).is_some() {
+    if board_by_name(name).is_ok() {
         Ok(())
     } else {
         Err(ParseArgsError(format!(
@@ -1245,23 +1209,6 @@ mod tests {
         assert!(parse(&v(&["tune", "tx2", "orb", "--current", "xyz"])).is_err());
         assert!(parse(&v(&["tune", "tx2", "orb", "--wat"])).is_err());
         assert!(parse(&v(&["tune", "tx2", "nosuchapp"])).is_err());
-    }
-
-    #[test]
-    fn board_aliases_resolve() {
-        assert!(board_by_name("Xavier").is_some());
-        assert!(board_by_name("jetson-agx-xavier").is_some());
-        assert!(board_by_name("ORIN").is_some());
-        assert!(board_by_name("MI300A").is_some());
-        assert!(board_by_name("grace-hopper-like").is_some());
-        assert!(board_by_name("nope").is_none());
-    }
-
-    #[test]
-    fn every_canonical_board_name_resolves() {
-        for name in BOARD_NAMES {
-            assert!(board_by_name(name).is_some(), "board {name}");
-        }
     }
 
     #[test]

@@ -6,37 +6,22 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use icomm_adapt::{evaluate, ControllerConfig};
+use icomm_apps::catalog::{board_by_name, workload_by_name, APP_NAMES, BOARD_NAMES};
 use icomm_apps::{LaneApp, OrbApp, ShwfsApp};
 use icomm_bench::experiments::{self, CharacterizationSet};
 use icomm_bench::{ablation, ExperimentReport};
 use icomm_core::Tuner;
 use icomm_microbench::{characterize_device, quick_characterize_device, DeviceCharacterization};
-use icomm_models::{run_model, CommModelKind, PhasedWorkload, Workload};
+use icomm_models::{run_model, CommModelKind, PhasedWorkload};
 use icomm_net::{
     run_load, warmup, BinaryClient, JsonClient, LoadReport, NetConfig, Server, WireMode,
 };
 use icomm_serve::{AdmissionConfig, ServiceConfig, TuneRequest, TuneResponse, TuningService};
 use icomm_soc::units::ByteSize;
-use icomm_soc::{DeviceProfile, PageSize};
+use icomm_soc::PageSize;
+use serde::Serialize;
 
-use crate::args::{board_by_name, Command, APP_NAMES, BOARD_NAMES, HELP};
-
-/// Builds the workload for an application name.
-///
-/// # Errors
-///
-/// Returns a message listing the valid names.
-pub fn workload_by_name(app: &str) -> Result<Workload, String> {
-    match app.to_ascii_lowercase().as_str() {
-        "shwfs" => Ok(ShwfsApp::default().workload()),
-        "orb" => Ok(OrbApp::default().workload()),
-        "lane" => Ok(LaneApp::default().workload()),
-        other => Err(format!(
-            "unknown app '{other}' (known: {})",
-            APP_NAMES.join(", ")
-        )),
-    }
-}
+use crate::args::{Command, HELP};
 
 /// Builds the three-phase workload variant for an application name.
 ///
@@ -56,12 +41,6 @@ pub fn phased_workload_by_name(
             APP_NAMES.join(", ")
         )),
     }
-}
-
-/// Resolves a board name or fails with the list of valid names.
-fn require_board(name: &str) -> Result<DeviceProfile, String> {
-    board_by_name(name)
-        .ok_or_else(|| format!("unknown board '{name}' (known: {})", BOARD_NAMES.join(", ")))
 }
 
 /// Executes a parsed command and returns the text to print.
@@ -182,7 +161,7 @@ pub fn execute(command: &Command) -> Result<String, String> {
 fn boards() -> String {
     let mut out = String::from("built-in boards:\n");
     for name in BOARD_NAMES {
-        let Some(device) = board_by_name(name) else {
+        let Ok(device) = board_by_name(name) else {
             // A catalog name without a profile is a wiring bug; surface
             // it in the listing instead of aborting the whole command.
             let _ = writeln!(out, "  {name:<10} (unresolvable board name)");
@@ -207,7 +186,7 @@ fn boards() -> String {
 }
 
 fn characterize(board: &str, save: Option<&str>) -> Result<String, String> {
-    let device = require_board(board)?;
+    let device = board_by_name(board)?;
     let c = characterize_device(&device);
     let mut out = format!("characterization of {}:\n", device.name);
     let _ = writeln!(
@@ -287,7 +266,7 @@ fn tune(
     json: bool,
     characterization: Option<&str>,
 ) -> Result<String, String> {
-    let mut device = require_board(board)?;
+    let mut device = board_by_name(board)?;
     if let Some(page) = pages {
         device = device.with_page_size(page);
     }
@@ -321,7 +300,7 @@ fn adapt(
     json: bool,
     characterization: Option<&str>,
 ) -> Result<String, String> {
-    let device = require_board(board)?;
+    let device = board_by_name(board)?;
     let phased = phased_workload_by_name(app, windows)?;
     let c = match characterization {
         Some(path) => load_characterization(path)?,
@@ -342,16 +321,6 @@ fn adapt(
     if stats {
         let _ = writeln!(out, "--- stats ---");
         let _ = writeln!(out, "{}", report.stats);
-        // The same counters as the serving layer aggregates them.
-        let metrics = icomm_serve::Metrics::new();
-        metrics.record_adaptation(
-            report.stats.windows,
-            u64::from(report.stats.switches),
-            u64::from(report.stats.drifts),
-            report.regret_pct,
-        );
-        let _ = writeln!(out, "--- serve metrics ---");
-        let _ = write!(out, "{}", metrics.snapshot());
     }
     Ok(out)
 }
@@ -368,7 +337,7 @@ fn chaos(
     fleet: bool,
     json: bool,
 ) -> Result<String, String> {
-    let device = require_board(board)?;
+    let device = board_by_name(board)?;
     let plan = icomm_chaos::FaultPlan::parse(plan_spec)?;
     if fleet {
         return chaos_fleet(board, &plan, seeds, json);
@@ -434,7 +403,7 @@ fn chaos_fleet(
 }
 
 fn compare(board: &str, app: &str) -> Result<String, String> {
-    let device = require_board(board)?;
+    let device = board_by_name(board)?;
     let workload = workload_by_name(app)?;
     let sc = run_model(CommModelKind::StandardCopy, &device, &workload);
     let mut out = format!("{} on {} (per frame):\n", workload.name, device.name);
@@ -594,6 +563,37 @@ fn parity_check(
     Ok((cases.len() as u64, mismatches))
 }
 
+/// `icomm servebench --json`: one flat object; CI greps its fields.
+#[derive(Serialize)]
+struct ServebenchJson {
+    requests_per_plane: u64,
+    conns: usize,
+    workers: usize,
+    batch: usize,
+    json_rps: f64,
+    json_p50_us: u64,
+    json_p99_us: u64,
+    json_failed: u64,
+    binary_rps: f64,
+    binary_p50_us: u64,
+    binary_p99_us: u64,
+    binary_failed: u64,
+    parity_checked: u64,
+    parity_mismatches: u64,
+    decision_cache_hits: u64,
+    batches_submitted: u64,
+    batched_requests: u64,
+    frame_faults: u64,
+    hostile_probes: usize,
+    hostile_defended: usize,
+}
+
+/// Rounds `value` to `digits` decimals exactly as `{:.digits$}`
+/// formatting does, so JSON reports carry the figures the text prints.
+fn round_to(value: f64, digits: usize) -> f64 {
+    format!("{value:.digits$}").parse().unwrap_or(value)
+}
+
 /// `icomm servebench`: run a JSON and a binary listener over one shared
 /// service and report throughput, tail latency, decision parity, and
 /// (with `--hostile`) both listeners' survival under malformed traffic.
@@ -682,36 +682,32 @@ fn servebench(
         .shutdown()?;
 
     if json {
-        return Ok(format!(
-            concat!(
-                "{{\"requests_per_plane\":{},\"conns\":{},\"workers\":{},\"batch\":{},",
-                "\"json_rps\":{:.1},\"json_p50_us\":{},\"json_p99_us\":{},\"json_failed\":{},",
-                "\"binary_rps\":{:.1},\"binary_p50_us\":{},\"binary_p99_us\":{},\"binary_failed\":{},",
-                "\"parity_checked\":{},\"parity_mismatches\":{},",
-                "\"decision_cache_hits\":{},\"batches_submitted\":{},\"batched_requests\":{},",
-                "\"frame_faults\":{},\"hostile_probes\":{},\"hostile_defended\":{}}}\n"
-            ),
-            json_report.sent,
+        let report = ServebenchJson {
+            requests_per_plane: json_report.sent,
             conns,
             workers,
             batch,
-            json_report.rps,
-            json_report.p50_us,
-            json_report.p99_us,
-            json_report.failed,
-            binary_report.rps,
-            binary_report.p50_us,
-            binary_report.p99_us,
-            binary_report.failed,
+            json_rps: round_to(json_report.rps, 1),
+            json_p50_us: json_report.p50_us,
+            json_p99_us: json_report.p99_us,
+            json_failed: json_report.failed,
+            binary_rps: round_to(binary_report.rps, 1),
+            binary_p50_us: binary_report.p50_us,
+            binary_p99_us: binary_report.p99_us,
+            binary_failed: binary_report.failed,
             parity_checked,
             parity_mismatches,
-            snapshot.decision_cache_hits,
-            snapshot.batches_submitted,
-            snapshot.batched_requests,
-            snapshot.frame_faults(),
+            decision_cache_hits: snapshot.decision_cache_hits,
+            batches_submitted: snapshot.batches_submitted,
+            batched_requests: snapshot.batched_requests,
+            frame_faults: snapshot.frame_faults(),
             hostile_probes,
             hostile_defended,
-        ));
+        };
+        let mut text = icomm_persist::to_string(&report)
+            .map_err(|err| format!("cannot serialize report: {err}"))?;
+        text.push('\n');
+        return Ok(text);
     }
 
     let plane_line = |report: &LoadReport| {
@@ -865,12 +861,41 @@ fn fleet(
 /// Maps a CLI board name (with its aliases) onto the canonical name the
 /// synth sweep and rule-set scope keys use.
 fn canonical_synth_board(name: &str) -> Result<String, String> {
-    let device = require_board(name)?;
-    icomm_synth::BOARD_NAMES
+    let device = board_by_name(name)?;
+    BOARD_NAMES
         .iter()
-        .find(|b| icomm_synth::stock_board(b).is_some_and(|d| d.name == device.name))
+        .find(|b| board_by_name(b).is_ok_and(|d| d.name == device.name))
         .map(|b| (*b).to_string())
         .ok_or_else(|| format!("board '{name}' has no synthesis sweep profile"))
+}
+
+/// `icomm synth --json`: the deterministic part of a synthesis run —
+/// no maps, no wall clock, fixed field order — so it replays byte for
+/// byte per config.
+#[derive(Serialize)]
+struct SynthJson {
+    boards: Vec<String>,
+    seed: u64,
+    max_size: u32,
+    samples: u64,
+    rule_count: usize,
+    uncovered: u64,
+    disagreements: u64,
+    scope_contexts: usize,
+    skipped_contexts: usize,
+    sweep_bytes: u64,
+    ruleset_bytes: u64,
+    compression: f64,
+    rules: Vec<RuleJson>,
+}
+
+/// One rule of [`SynthJson`].
+#[derive(Serialize)]
+struct RuleJson {
+    pred: String,
+    model: &'static str,
+    support: u32,
+    boards: Vec<String>,
 }
 
 /// `icomm synth`: sweep the simulators, synthesize algebraic decision
@@ -905,51 +930,34 @@ fn synth(
     }
     let ruleset = &out.ruleset;
     if json {
-        // Assembled by hand so the report stays byte-identical per
-        // (config): no maps, no wall clock, fixed field order.
-        let quote_list = |items: &[String]| -> String {
-            items
-                .iter()
-                .map(|s| format!("\"{s}\""))
-                .collect::<Vec<_>>()
-                .join(",")
-        };
-        let rules = ruleset
-            .rules
-            .iter()
-            .map(|r| {
-                format!(
-                    "{{\"pred\":\"{}\",\"model\":\"{}\",\"support\":{},\"boards\":[{}]}}",
-                    r.pred,
-                    r.model.abbrev(),
-                    r.support,
-                    quote_list(&r.boards),
-                )
-            })
-            .collect::<Vec<_>>()
-            .join(",");
-        return Ok(format!(
-            concat!(
-                "{{\"boards\":[{}],\"seed\":{},\"max_size\":{},\"samples\":{},",
-                "\"rule_count\":{},\"uncovered\":{},\"disagreements\":{},",
-                "\"scope_contexts\":{},\"skipped_contexts\":{},",
-                "\"sweep_bytes\":{},\"ruleset_bytes\":{},\"compression\":{:.2},",
-                "\"rules\":[{}]}}\n"
-            ),
-            quote_list(&ruleset.boards),
-            ruleset.seed,
-            ruleset.max_size,
-            ruleset.samples,
-            ruleset.rules.len(),
-            ruleset.uncovered,
-            ruleset.disagreements,
-            ruleset.scope.len(),
-            out.table.skipped_contexts.len(),
+        let report = SynthJson {
+            boards: ruleset.boards.clone(),
+            seed: ruleset.seed,
+            max_size: ruleset.max_size,
+            samples: ruleset.samples,
+            rule_count: ruleset.rules.len(),
+            uncovered: ruleset.uncovered,
+            disagreements: ruleset.disagreements,
+            scope_contexts: ruleset.scope.len(),
+            skipped_contexts: out.table.skipped_contexts.len(),
             sweep_bytes,
             ruleset_bytes,
-            compression,
-            rules,
-        ));
+            compression: round_to(compression, 2),
+            rules: ruleset
+                .rules
+                .iter()
+                .map(|r| RuleJson {
+                    pred: r.pred.to_string(),
+                    model: r.model.abbrev(),
+                    support: r.support,
+                    boards: r.boards.clone(),
+                })
+                .collect(),
+        };
+        let mut text = icomm_persist::to_string(&report)
+            .map_err(|err| format!("cannot serialize report: {err}"))?;
+        text.push('\n');
+        return Ok(text);
     }
     let mut text = format!(
         "rule synthesis over {} board(s), seed {seed}, max term size {max_size}:\n",
@@ -1027,7 +1035,7 @@ fn sched(
     mem_cap: Option<u64>,
     json: bool,
 ) -> Result<String, String> {
-    let device = require_board(board)?;
+    let device = board_by_name(board)?;
     let mut config = icomm_sched::SchedConfig::new(device);
     config.mix = mix.to_string();
     config.policy = icomm_sched::PolicyKind::parse(policy)?;
@@ -1071,31 +1079,6 @@ mod tests {
             assert!(text.contains(name), "missing {name} in:\n{text}");
         }
         assert!(text.contains("I/O coherent"));
-    }
-
-    #[test]
-    fn workloads_resolve() {
-        assert!(workload_by_name("shwfs").unwrap().name.contains("shwfs"));
-        assert!(workload_by_name("orb").unwrap().name.contains("orb"));
-        assert!(workload_by_name("lane").unwrap().name.contains("lane"));
-    }
-
-    #[test]
-    fn unknown_app_lists_valid_names() {
-        let err = workload_by_name("quake").unwrap_err();
-        assert!(err.contains("unknown app 'quake'"), "{err}");
-        for name in APP_NAMES {
-            assert!(err.contains(name), "missing {name} in: {err}");
-        }
-    }
-
-    #[test]
-    fn unknown_board_lists_valid_names() {
-        let err = require_board("pi5").unwrap_err();
-        assert!(err.contains("unknown board 'pi5'"), "{err}");
-        for name in BOARD_NAMES {
-            assert!(err.contains(name), "missing {name} in: {err}");
-        }
     }
 
     #[test]
@@ -1182,8 +1165,6 @@ mod tests {
             "oracle",
             "regret vs oracle",
             "--- stats ---",
-            "--- serve metrics ---",
-            "adaptation               1 runs",
         ] {
             assert!(out.contains(needle), "missing {needle:?} in:\n{out}");
         }
@@ -1193,7 +1174,7 @@ mod tests {
     fn adapt_json_round_trips() {
         let out = adapt("tx2", "lane", 5, false, true, None).unwrap();
         let report: icomm_adapt::AdaptationReport = icomm_persist::from_str(out.trim()).unwrap();
-        assert_eq!(report.device, require_board("tx2").unwrap().name);
+        assert_eq!(report.device, board_by_name("tx2").unwrap().name);
         assert!(report.workload.contains("lane"), "{}", report.workload);
     }
 

@@ -24,13 +24,12 @@ use std::sync::Arc;
 use icomm_chaos::{ChaosRng, FaultPlan};
 use icomm_core::recommend_for_device;
 use icomm_microbench::{
-    fingerprint_features, quick_characterize_device, robust_transfer_characterization,
-    DeviceCharacterization, TransferPolicy,
+    fingerprint_features, quick_characterize_device, DeviceCharacterization, TransferPolicy,
 };
 use icomm_models::run_model;
 use icomm_sched::{run_sched_with, PolicyKind, SchedConfig, SchedReport};
 use icomm_serve::catalog;
-use icomm_serve::registry::EntryMeta;
+use icomm_serve::registry::{EntryMeta, MissResolution};
 use icomm_serve::{AdmissionConfig, AdmissionController, AdmissionDecision, Registry, ShedReason};
 use icomm_soc::units::ByteSize;
 use icomm_soc::DeviceProfile;
@@ -331,7 +330,6 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRunOutput, String> {
         let class_flag = Cell::new(LookupClass::Hit);
         let (characterization, lookup) =
             registry.get_or_characterize_with(&device.profile, |profile| {
-                let features = fingerprint_features(profile);
                 // Rules-first: a shipped rule set that verified every
                 // named mix on this board answers the miss outright —
                 // no neighbor search, no sweep. Confidence stays below
@@ -339,41 +337,25 @@ pub fn run_fleet(config: &FleetConfig) -> Result<FleetRunOutput, String> {
                 if let Some(rules) = &config.rules {
                     if let Some((chr, confidence)) = rules.warm_start(&device.board) {
                         class_flag.set(LookupClass::Rules);
+                        let features = fingerprint_features(profile);
                         return (chr.clone(), Some(EntryMeta::rules(features, confidence)));
                     }
                 }
-                let neighbors = registry.measured_neighbors();
-                let had_neighbors = !neighbors.is_empty();
-                let outcome = robust_transfer_characterization(
-                    &profile.name,
-                    &features,
-                    &neighbors,
+                let miss = registry.transfer_or_measure(
+                    profile,
                     &config.transfer,
+                    quick_characterize_device,
                 );
-                for source in &outcome.rejected_sources {
-                    registry.quarantine_source(*source);
-                }
-                match outcome.transferred {
-                    Some(t) => {
-                        class_flag.set(LookupClass::Transfer);
-                        let meta = EntryMeta {
-                            features,
-                            confidence: t.confidence,
-                        };
-                        (t.characterization, Some(meta))
-                    }
-                    None => {
-                        class_flag.set(if had_neighbors {
-                            LookupClass::FullFallback
-                        } else {
-                            LookupClass::FullFresh
-                        });
-                        (
-                            quick_characterize_device(profile),
-                            Some(EntryMeta::measured(features)),
-                        )
-                    }
-                }
+                class_flag.set(match miss.resolution {
+                    MissResolution::Transferred => LookupClass::Transfer,
+                    MissResolution::Measured {
+                        had_neighbors: true,
+                    } => LookupClass::FullFallback,
+                    MissResolution::Measured {
+                        had_neighbors: false,
+                    } => LookupClass::FullFresh,
+                });
+                (miss.characterization, Some(miss.meta))
             });
         let class = if lookup.served_from_cache() {
             LookupClass::Hit

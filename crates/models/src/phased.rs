@@ -29,7 +29,6 @@ use serde::{Deserialize, Serialize};
 
 use icomm_soc::units::{Bandwidth, ByteSize, Picos};
 use icomm_soc::{DeviceProfile, Soc};
-use icomm_trace::PhaseSchedule;
 
 use crate::model::{model_for, CommModelKind};
 use crate::report::RunReport;
@@ -74,39 +73,6 @@ impl PhasedWorkload {
             name: name.into(),
             phases,
         }
-    }
-
-    /// Builds a phased workload by stamping each phase of a trace-level
-    /// [`PhaseSchedule`] onto a base workload: the phase's pattern replaces
-    /// the GPU shared accesses, everything else is inherited.
-    ///
-    /// # Errors
-    ///
-    /// Returns the schedule's validation error when it is not runnable.
-    pub fn from_schedule(
-        name: impl Into<String>,
-        base: &Workload,
-        schedule: &PhaseSchedule,
-    ) -> Result<Self, String> {
-        schedule.validate()?;
-        let phases = schedule
-            .phases()
-            .iter()
-            .map(|spec| {
-                let mut workload = base.clone();
-                workload.name = format!("{}/{}", base.name, spec.name);
-                workload.gpu.shared_accesses = spec.pattern.clone();
-                WorkloadPhase {
-                    name: spec.name.clone(),
-                    windows: spec.windows,
-                    workload,
-                }
-            })
-            .collect();
-        Ok(PhasedWorkload {
-            name: name.into(),
-            phases,
-        })
     }
 
     /// Total windows across all phases.
@@ -430,7 +396,7 @@ mod tests {
     use super::*;
     use crate::workload::GpuPhase;
     use icomm_soc::cache::AccessKind;
-    use icomm_trace::{Pattern, PhaseSpec};
+    use icomm_trace::Pattern;
 
     fn workload(bytes: u64, passes: u32) -> Workload {
         let body = Pattern::Linear {
@@ -486,26 +452,6 @@ mod tests {
         let mut phases = phased().phases;
         phases[0].windows = 0;
         let _ = PhasedWorkload::new("bad", phases);
-    }
-
-    #[test]
-    fn from_schedule_stamps_patterns() {
-        let base = workload(64 * 1024, 1);
-        let hot = Pattern::Repeat {
-            body: Box::new(base.gpu.shared_accesses.clone()),
-            times: 4,
-        };
-        let schedule = PhaseSchedule::new(vec![
-            PhaseSpec::new("a", 2, base.gpu.shared_accesses.clone()),
-            PhaseSpec::new("b", 2, hot.clone()),
-        ]);
-        let p = PhasedWorkload::from_schedule("s", &base, &schedule).unwrap();
-        assert_eq!(p.phases.len(), 2);
-        assert_eq!(p.phases[1].workload.gpu.shared_accesses, hot);
-        assert_eq!(p.phases[1].workload.name, "t/b");
-
-        let bad = PhaseSchedule::new(vec![]);
-        assert!(PhasedWorkload::from_schedule("s", &base, &bad).is_err());
     }
 
     #[test]

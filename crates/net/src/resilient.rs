@@ -1,7 +1,7 @@
 //! Self-healing wrapper over [`BinaryClient`].
 //!
 //! [`ResilientClient`] owns (and transparently re-establishes) one
-//! connection to a binary server and layers three recovery behaviors
+//! connection to a binary server and layers two recovery behaviors
 //! over every idempotent call:
 //!
 //! * **Deadline-bounded retries** with deterministically jittered
@@ -12,10 +12,6 @@
 //!   ([`icomm_resilience::CircuitBreaker`]): consecutive transport
 //!   errors and `overloaded` responses trip it open, halting traffic
 //!   for a cooldown before half-open probes readmit the endpoint.
-//! * **Hedged reads** (optional): with `hedge_after` set, a reply
-//!   that has not arrived within the hedge delay is abandoned and the
-//!   request re-sent on a fresh connection — safe because Tune and
-//!   Characterize are idempotent reads of derived state.
 //!
 //! The tune path is what the fleet live-fire harness runs against a
 //! chaos-injected server: a shard panic mid-request surfaces as a
@@ -38,11 +34,7 @@ pub struct ResilienceConfig {
     pub retry: RetryPolicy,
     /// Circuit-breaker thresholds.
     pub breaker: BreakerConfig,
-    /// Hedged-read delay: abandon a pending reply after this long and
-    /// re-send on a fresh connection. `None` disables hedging; the
-    /// plain `read_timeout` then bounds each attempt.
-    pub hedge_after: Option<Duration>,
-    /// Per-attempt read timeout when hedging is disabled.
+    /// Per-attempt read timeout.
     pub read_timeout: Duration,
 }
 
@@ -51,7 +43,6 @@ impl Default for ResilienceConfig {
         ResilienceConfig {
             retry: RetryPolicy::default(),
             breaker: BreakerConfig::default(),
-            hedge_after: None,
             read_timeout: Duration::from_secs(10),
         }
     }
@@ -66,8 +57,6 @@ pub struct ResilienceCounters {
     pub retries: u64,
     /// Fresh connections established after a transport failure.
     pub reconnects: u64,
-    /// Hedged re-sends after an overdue reply.
-    pub hedges: u64,
     /// Calls rejected (or delayed) by the open circuit breaker.
     pub breaker_rejections: u64,
 }
@@ -118,8 +107,8 @@ impl ResilientClient {
         self.breaker.trips()
     }
 
-    /// Sends one tune request with retries, breaker gating, and
-    /// (when configured) hedged reads. An `overloaded` response is
+    /// Sends one tune request with retries and breaker gating. An
+    /// `overloaded` response is
     /// returned to the caller but counts against the breaker — the
     /// server is shedding; hammering it helps nobody.
     ///
@@ -174,23 +163,10 @@ impl ResilientClient {
     /// Connection to call on, establishing one if needed.
     fn ensure_conn(&mut self) -> Result<&mut BinaryClient, ClientError> {
         if self.conn.is_none() {
-            let read_timeout = self.config.hedge_after.unwrap_or(self.config.read_timeout);
-            let client = BinaryClient::connect_timeout(self.addr, read_timeout)?;
+            let client = BinaryClient::connect_timeout(self.addr, self.config.read_timeout)?;
             self.conn = Some(client);
         }
         Ok(self.conn.as_mut().expect("connection was just established"))
-    }
-
-    /// Whether a transport error is the hedging trigger: the reply is
-    /// overdue, not broken.
-    fn is_overdue(error: &ClientError) -> bool {
-        matches!(
-            error,
-            ClientError::Io(e) if matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            )
-        )
     }
 
     /// Whether a server-side refusal names a transient availability
@@ -206,7 +182,7 @@ impl ResilientClient {
         )
     }
 
-    /// The shared retry/breaker/hedge engine for idempotent calls.
+    /// The shared retry/breaker engine for idempotent calls.
     ///
     /// `soft_failure` classifies successful replies that should still
     /// count against the breaker (`overloaded` tune responses).
@@ -262,21 +238,11 @@ impl ResilientClient {
                     // timeout, desynchronized framing) or the server
                     // refused for a transient availability reason: drop
                     // the connection and retry on a fresh one.
-                    let hedge = self.config.hedge_after.is_some() && Self::is_overdue(&e);
                     self.conn = None;
                     self.counters.reconnects += 1;
                     self.breaker.record_failure(self.now_us());
                     last_error = Some(e);
                     attempt += 1;
-                    if hedge {
-                        // Overdue reply: re-send immediately, no
-                        // backoff — that is the hedge.
-                        self.counters.hedges += 1;
-                        if Instant::now() >= deadline {
-                            break;
-                        }
-                        continue;
-                    }
                     let wait = self.config.retry.backoff_for(attempt - 1);
                     if Instant::now() + wait >= deadline {
                         break;

@@ -1,22 +1,23 @@
 //! Worker-pool job engine.
 //!
-//! A fixed pool of worker threads pulls jobs from a shared injector
-//! channel. Each worker also keeps a local deque: retries land there, and
-//! idle workers steal from siblings' deques before blocking on the
-//! injector, so a slow job on one worker never strands its retries.
+//! A fixed pool of worker threads blocks on one shared injector channel;
+//! an idle worker sleeps in `recv` until a job arrives or the last
+//! sender goes away.
 //!
 //! Per-job policy:
 //! - **Timeout** — every job carries a deadline. A job popped past its
-//!   deadline is re-enqueued with a fresh deadline while it has retry
-//!   budget, then fails with [`JobError::TimedOut`].
+//!   deadline is retried in place with a fresh deadline while it has
+//!   retry budget, then fails with [`JobError::TimedOut`].
 //! - **Panic isolation** — the job handler runs under `catch_unwind`; a
 //!   panicking job consumes one retry instead of killing the worker, then
 //!   fails with [`JobError::Panicked`].
 //!
+//! A retry runs on the worker that already holds the job, so it never
+//! waits behind other queued work or for an idle worker to notice it.
+//!
 //! Shutdown is a graceful drain: dropping the injector lets every worker
-//! finish the queued work (including its own retries) before exiting.
+//! finish the queued work (including its retries) before exiting.
 
-use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::Ordering;
@@ -24,8 +25,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{self, Receiver, RecvTimeoutError, Sender};
-use parking_lot::Mutex;
+use crossbeam::channel::{self, Receiver, Sender};
 
 use crate::metrics::Metrics;
 
@@ -37,7 +37,7 @@ pub struct EngineConfig {
     /// Budget per job attempt; a job popped past its deadline is retried
     /// or failed.
     pub job_timeout: Duration,
-    /// How many times a job may be re-enqueued after a timeout or panic.
+    /// How many times a job may be retried after a timeout or panic.
     pub max_retries: u32,
 }
 
@@ -120,7 +120,6 @@ impl<J, R> BatchHandle<J, R> {
 }
 
 type Handler<J, R> = Arc<dyn Fn(&J) -> R + Send + Sync>;
-type LocalQueue<J, R> = Arc<Mutex<VecDeque<Task<J, R>>>>;
 
 struct Task<J, R> {
     job: J,
@@ -129,8 +128,8 @@ struct Task<J, R> {
     respond: Sender<JobOutcome<J, R>>,
 }
 
-/// Fixed worker pool with work stealing, per-job deadlines, and bounded
-/// retry.
+/// Fixed worker pool over one shared queue, with per-job deadlines and
+/// bounded retry.
 pub struct Engine<J, R> {
     injector: Option<Sender<Task<J, R>>>,
     handles: Vec<JoinHandle<()>>,
@@ -153,15 +152,10 @@ impl<J: Send + 'static, R: Send + 'static> Engine<J, R> {
     pub fn new(config: EngineConfig, metrics: Arc<Metrics>, handler: Handler<J, R>) -> Self {
         let workers = config.workers.max(1);
         let (injector_tx, injector_rx) = channel::unbounded::<Task<J, R>>();
-        let locals: Vec<LocalQueue<J, R>> = (0..workers)
-            .map(|_| Arc::new(Mutex::new(VecDeque::new())))
-            .collect();
         let handles = (0..workers)
             .map(|index| {
                 let ctx = WorkerContext {
-                    index,
                     injector: injector_rx.clone(),
-                    locals: locals.clone(),
                     handler: handler.clone(),
                     metrics: metrics.clone(),
                     config: config.clone(),
@@ -227,60 +221,19 @@ impl<J, R> Drop for Engine<J, R> {
 }
 
 struct WorkerContext<J, R> {
-    index: usize,
     injector: Receiver<Task<J, R>>,
-    locals: Vec<LocalQueue<J, R>>,
     handler: Handler<J, R>,
     metrics: Arc<Metrics>,
     config: EngineConfig,
 }
 
 impl<J: Send + 'static, R: Send + 'static> WorkerContext<J, R> {
+    /// Blocks on the injector until every sender is gone and the queue
+    /// is empty — the drain.
     fn run(self) {
-        loop {
-            if let Some(task) = self.next_task() {
-                self.execute(task);
-                continue;
-            }
-            match self.injector.recv_timeout(Duration::from_millis(20)) {
-                Ok(task) => self.execute(task),
-                Err(RecvTimeoutError::Timeout) => {}
-                Err(RecvTimeoutError::Disconnected) => {
-                    // Drain: finish local work (and any retries it spawns)
-                    // before exiting. A task only ever sits in its owner's
-                    // deque, so every queue is drained by someone.
-                    while let Some(task) = self.next_task() {
-                        self.execute(task);
-                    }
-                    return;
-                }
-            }
+        while let Ok(task) = self.injector.recv() {
+            self.execute(task);
         }
-    }
-
-    /// Local work first, then the injector, then a steal sweep.
-    fn next_task(&self) -> Option<Task<J, R>> {
-        if let Some(task) = self.locals[self.index].lock().pop_front() {
-            return Some(task);
-        }
-        if let Ok(task) = self.injector.try_recv() {
-            return Some(task);
-        }
-        let n = self.locals.len();
-        for offset in 1..n {
-            let victim = (self.index + offset) % n;
-            if let Some(task) = self.locals[victim].lock().pop_back() {
-                return Some(task);
-            }
-        }
-        None
-    }
-
-    fn requeue(&self, mut task: Task<J, R>) {
-        task.attempts += 1;
-        task.deadline = Instant::now() + self.config.job_timeout;
-        self.metrics.retries.fetch_add(1, Ordering::Relaxed);
-        self.locals[self.index].lock().push_back(task);
     }
 
     fn finish(&self, task: Task<J, R>, result: Result<R, JobError>) {
@@ -294,28 +247,36 @@ impl<J: Send + 'static, R: Send + 'static> WorkerContext<J, R> {
         });
     }
 
-    fn execute(&self, task: Task<J, R>) {
-        if Instant::now() > task.deadline {
-            if task.attempts < self.config.max_retries {
-                self.requeue(task);
+    /// Runs one task to its terminal outcome, retrying in place.
+    fn execute(&self, mut task: Task<J, R>) {
+        loop {
+            // `None` when the attempt was past its deadline and never ran.
+            let panic = if Instant::now() >= task.deadline {
+                None
             } else {
-                self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
-                let attempts = task.attempts + 1;
-                self.finish(task, Err(JobError::TimedOut { attempts }));
-            }
-            return;
-        }
-        match catch_unwind(AssertUnwindSafe(|| (self.handler)(&task.job))) {
-            Ok(response) => self.finish(task, Ok(response)),
-            Err(payload) => {
-                if task.attempts < self.config.max_retries {
-                    self.requeue(task);
-                } else {
-                    let attempts = task.attempts + 1;
-                    let message = panic_message(payload.as_ref());
-                    self.finish(task, Err(JobError::Panicked { attempts, message }));
+                match catch_unwind(AssertUnwindSafe(|| (self.handler)(&task.job))) {
+                    Ok(response) => return self.finish(task, Ok(response)),
+                    Err(payload) => Some(payload),
                 }
+            };
+            if task.attempts < self.config.max_retries {
+                task.attempts += 1;
+                task.deadline = Instant::now() + self.config.job_timeout;
+                self.metrics.retries.fetch_add(1, Ordering::Relaxed);
+                continue;
             }
+            let attempts = task.attempts + 1;
+            let error = match panic {
+                None => {
+                    self.metrics.timeouts.fetch_add(1, Ordering::Relaxed);
+                    JobError::TimedOut { attempts }
+                }
+                Some(payload) => JobError::Panicked {
+                    attempts,
+                    message: panic_message(payload.as_ref()),
+                },
+            };
+            return self.finish(task, Err(error));
         }
     }
 }
@@ -392,6 +353,39 @@ mod tests {
         });
         let outcome = engine.submit_batch(vec![9]).wait().pop().unwrap();
         assert_eq!(outcome.result, Ok(10));
+        assert_eq!(metrics.snapshot().retries, 1);
+        engine.shutdown();
+    }
+
+    #[test]
+    fn retry_completes_while_another_worker_is_busy() {
+        // Job 0 holds one worker until job 1, which panics once, has been
+        // retried to success: a retry never waits behind other work.
+        let (retried, wait_for_retry) = channel::unbounded::<()>();
+        let attempts = AtomicU64::new(0);
+        let config = EngineConfig {
+            workers: 2,
+            ..EngineConfig::default()
+        };
+        let (engine, metrics) = engine_with(config, move |n| {
+            if *n == 0 {
+                let done = wait_for_retry.recv_timeout(Duration::from_secs(30));
+                return u64::from(done.is_ok());
+            }
+            if attempts.fetch_add(1, Ordering::SeqCst) == 0 {
+                panic!("transient");
+            }
+            let _ = retried.send(());
+            2
+        });
+        let mut outcomes = engine.submit_batch(vec![0, 1]).wait();
+        outcomes.sort_by_key(|o| o.job);
+        assert_eq!(
+            outcomes[0].result,
+            Ok(1),
+            "the retry waited for the long job"
+        );
+        assert_eq!(outcomes[1].result, Ok(2));
         assert_eq!(metrics.snapshot().retries, 1);
         engine.shutdown();
     }

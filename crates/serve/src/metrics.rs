@@ -120,17 +120,6 @@ pub struct Metrics {
     pub recommend_latency: LatencyHistogram,
     /// End-to-end request latency, µs.
     pub total_latency: LatencyHistogram,
-    /// Adaptation evaluations recorded (`icomm adapt` runs).
-    pub adapt_runs: AtomicU64,
-    /// Windows observed across adaptation runs.
-    pub adapt_windows: AtomicU64,
-    /// Model switches across adaptation runs.
-    pub adapt_switches: AtomicU64,
-    /// Drift verdicts across adaptation runs.
-    pub adapt_drifts: AtomicU64,
-    /// Sum of per-run regret vs the oracle, milli-percent (fixed point:
-    /// 1000 = 1 %), for a mean over `adapt_runs`.
-    pub adapt_regret_milli_pct: AtomicU64,
     /// TCP connections accepted by the server.
     pub conn_accepted: AtomicU64,
     /// TCP connections refused because the server was at its connection
@@ -216,11 +205,6 @@ impl Metrics {
             characterize_latency: LatencyHistogram::new(),
             recommend_latency: LatencyHistogram::new(),
             total_latency: LatencyHistogram::new(),
-            adapt_runs: AtomicU64::new(0),
-            adapt_windows: AtomicU64::new(0),
-            adapt_switches: AtomicU64::new(0),
-            adapt_drifts: AtomicU64::new(0),
-            adapt_regret_milli_pct: AtomicU64::new(0),
             conn_accepted: AtomicU64::new(0),
             conn_rejected: AtomicU64::new(0),
             read_timeouts: AtomicU64::new(0),
@@ -248,19 +232,6 @@ impl Metrics {
         }
     }
 
-    /// Records the outcome of one online-adaptation run. `regret_pct`
-    /// clamps at zero: the service tracks the cost of adapting, and an
-    /// adaptive run beating the oracle rounding-wise carries no regret.
-    pub fn record_adaptation(&self, windows: u64, switches: u64, drifts: u64, regret_pct: f64) {
-        self.adapt_runs.fetch_add(1, Ordering::Relaxed);
-        self.adapt_windows.fetch_add(windows, Ordering::Relaxed);
-        self.adapt_switches.fetch_add(switches, Ordering::Relaxed);
-        self.adapt_drifts.fetch_add(drifts, Ordering::Relaxed);
-        let milli = (regret_pct.max(0.0) * 1000.0).round() as u64;
-        self.adapt_regret_milli_pct
-            .fetch_add(milli, Ordering::Relaxed);
-    }
-
     /// Point-in-time copy of every counter.
     pub fn snapshot(&self) -> MetricsSnapshot {
         MetricsSnapshot {
@@ -276,11 +247,6 @@ impl Metrics {
             characterize_latency: self.characterize_latency.snapshot(),
             recommend_latency: self.recommend_latency.snapshot(),
             total_latency: self.total_latency.snapshot(),
-            adapt_runs: self.adapt_runs.load(Ordering::Relaxed),
-            adapt_windows: self.adapt_windows.load(Ordering::Relaxed),
-            adapt_switches: self.adapt_switches.load(Ordering::Relaxed),
-            adapt_drifts: self.adapt_drifts.load(Ordering::Relaxed),
-            adapt_regret_milli_pct: self.adapt_regret_milli_pct.load(Ordering::Relaxed),
             conn_accepted: self.conn_accepted.load(Ordering::Relaxed),
             conn_rejected: self.conn_rejected.load(Ordering::Relaxed),
             read_timeouts: self.read_timeouts.load(Ordering::Relaxed),
@@ -336,16 +302,6 @@ pub struct MetricsSnapshot {
     pub recommend_latency: HistogramSnapshot,
     /// End-to-end latency.
     pub total_latency: HistogramSnapshot,
-    /// Adaptation runs recorded.
-    pub adapt_runs: u64,
-    /// Windows observed across adaptation runs.
-    pub adapt_windows: u64,
-    /// Model switches across adaptation runs.
-    pub adapt_switches: u64,
-    /// Drift verdicts across adaptation runs.
-    pub adapt_drifts: u64,
-    /// Summed regret, milli-percent.
-    pub adapt_regret_milli_pct: u64,
     /// Connections accepted.
     pub conn_accepted: u64,
     /// Connections refused at the cap.
@@ -425,15 +381,6 @@ impl MetricsSnapshot {
         self.frame_crc_errors + self.frame_oversized + self.frame_malformed + self.frame_truncated
     }
 
-    /// Mean regret vs the oracle across adaptation runs, percent.
-    pub fn mean_adapt_regret_pct(&self) -> f64 {
-        if self.adapt_runs == 0 {
-            0.0
-        } else {
-            self.adapt_regret_milli_pct as f64 / 1000.0 / self.adapt_runs as f64
-        }
-    }
-
     /// Fraction of characterization misses answered by federated
     /// transfer rather than a micro-benchmark run, in [0, 1]; 0 when no
     /// transfer was attempted.
@@ -504,17 +451,6 @@ impl fmt::Display for MetricsSnapshot {
                 h.quantile_us(0.50),
                 h.quantile_us(0.99),
                 h.count
-            )?;
-        }
-        if self.adapt_runs > 0 {
-            writeln!(
-                f,
-                "adaptation        {:>8} runs  ({} windows, {} switches, {} drifts, mean regret {:.2}%)",
-                self.adapt_runs,
-                self.adapt_windows,
-                self.adapt_switches,
-                self.adapt_drifts,
-                self.mean_adapt_regret_pct()
             )?;
         }
         if self.transfer_hits + self.transfer_fallbacks > 0 {
@@ -619,28 +555,6 @@ mod tests {
         let s = h.snapshot();
         assert_eq!(s.quantile_us(0.5), 16);
         assert_eq!(s.quantile_us(1.0), 1 << 17);
-    }
-
-    #[test]
-    fn adaptation_counters_accumulate_and_render() {
-        let m = Metrics::new();
-        assert!(!m.snapshot().to_string().contains("adaptation"));
-        m.record_adaptation(24, 3, 2, 4.5);
-        m.record_adaptation(24, 2, 2, 1.5);
-        let s = m.snapshot();
-        assert_eq!(s.adapt_runs, 2);
-        assert_eq!(s.adapt_windows, 48);
-        assert_eq!(s.adapt_switches, 5);
-        assert_eq!(s.adapt_drifts, 4);
-        assert!((s.mean_adapt_regret_pct() - 3.0).abs() < 1e-9);
-        assert!(s.to_string().contains("mean regret 3.00%"));
-    }
-
-    #[test]
-    fn negative_regret_clamps_to_zero() {
-        let m = Metrics::new();
-        m.record_adaptation(10, 1, 1, -2.0);
-        assert_eq!(m.snapshot().adapt_regret_milli_pct, 0);
     }
 
     #[test]

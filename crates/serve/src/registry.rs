@@ -1,17 +1,19 @@
-//! Sharded, concurrent characterization registry.
+//! Concurrent characterization registry.
 //!
 //! Characterizing a device is the expensive step of the framework — three
 //! micro-benchmark sweeps — so the serving layer must run it **at most once
 //! per device** no matter how many requests arrive concurrently. The
-//! registry delivers that with two mechanisms:
+//! registry is one map from the [`DeviceKey`] fingerprint to an entry —
+//! the characterization together with its optional provenance
+//! [`EntryMeta`] — behind one lock, plus **single-flight**: the first
+//! thread to miss on a key claims an in-flight slot and runs the
+//! characterization; every other thread that misses the same key blocks
+//! on the registry condvar and is handed the finished `Arc` instead of
+//! duplicating the work.
 //!
-//! - **Sharding**: entries are spread over independent shards keyed by the
-//!   [`DeviceKey`] fingerprint, so readers for different devices never
-//!   contend on one lock.
-//! - **Single-flight**: the first thread to miss on a key claims an
-//!   in-flight slot and runs the characterization; every other thread that
-//!   misses the same key blocks on the shard condvar and is handed the
-//!   finished `Arc` instead of duplicating the work.
+//! A registry miss is resolved by [`Registry::transfer_or_measure`] when
+//! federated transfer is on: interpolate from measured neighbors, or
+//! measure.
 //!
 //! The whole registry serializes to a [`RegistrySnapshot`] (via
 //! `icomm-persist`) so a service restart warm-starts from disk instead of
@@ -25,11 +27,11 @@ use std::sync::Arc;
 use parking_lot::{Condvar, Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 
-use icomm_microbench::{fingerprint, DeviceCharacterization, DeviceKey, NeighborSample};
+use icomm_microbench::{
+    fingerprint, fingerprint_features, robust_transfer_characterization, DeviceCharacterization,
+    DeviceKey, NeighborSample, TransferPolicy,
+};
 use icomm_soc::DeviceProfile;
-
-/// Default number of shards.
-pub const DEFAULT_SHARDS: usize = 8;
 
 /// Provenance attached to a registry entry: where it sits in
 /// fingerprint-feature space and how much it is trusted.
@@ -91,41 +93,59 @@ impl LookupOutcome {
     }
 }
 
-struct Shard {
-    cache: RwLock<HashMap<u64, Arc<DeviceCharacterization>>>,
-    meta: RwLock<HashMap<u64, EntryMeta>>,
-    inflight: Mutex<HashSet<u64>>,
-    cond: Condvar,
+/// How [`Registry::transfer_or_measure`] resolved a registry miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MissResolution {
+    /// Interpolated from measured neighbors.
+    Transferred,
+    /// Ran the micro-benchmarks. `had_neighbors` tells a transfer that
+    /// fell below the confidence floor from a registry with no measured
+    /// neighbor to transfer from.
+    Measured {
+        /// Whether measured neighbors existed (transfer was attempted).
+        had_neighbors: bool,
+    },
 }
 
-impl Shard {
-    fn new() -> Self {
-        Shard {
-            cache: RwLock::new(HashMap::new()),
-            meta: RwLock::new(HashMap::new()),
-            inflight: Mutex::new(HashSet::new()),
-            cond: Condvar::new(),
-        }
-    }
+/// What [`Registry::transfer_or_measure`] produced for one miss.
+#[derive(Debug, Clone)]
+pub struct Miss {
+    /// The characterization to publish.
+    pub characterization: DeviceCharacterization,
+    /// Its provenance: the transfer confidence, or measured.
+    pub meta: EntryMeta,
+    /// How the miss was resolved.
+    pub resolution: MissResolution,
+    /// Sources this miss quarantined for the first time.
+    pub newly_quarantined: Vec<u64>,
+}
+
+/// One cached characterization with its provenance, published together
+/// so a reader that sees the entry also sees its meta.
+struct Entry {
+    characterization: Arc<DeviceCharacterization>,
+    meta: Option<EntryMeta>,
 }
 
 /// Removes the in-flight claim when the owning computation finishes — or
 /// panics — so waiters are never stranded.
 struct InflightClaim<'a> {
-    shard: &'a Shard,
+    registry: &'a Registry,
     key: u64,
 }
 
 impl Drop for InflightClaim<'_> {
     fn drop(&mut self) {
-        self.shard.inflight.lock().remove(&self.key);
-        self.shard.cond.notify_all();
+        self.registry.inflight.lock().remove(&self.key);
+        self.registry.cond.notify_all();
     }
 }
 
-/// Sharded single-flight cache of [`DeviceCharacterization`]s.
+/// Single-flight cache of [`DeviceCharacterization`]s.
 pub struct Registry {
-    shards: Vec<Shard>,
+    entries: RwLock<HashMap<u64, Entry>>,
+    inflight: Mutex<HashSet<u64>>,
+    cond: Condvar,
     runs: AtomicU64,
     /// Device keys whose characterizations failed the board-physics
     /// plausibility screen during a robust transfer. Quarantined
@@ -137,7 +157,6 @@ pub struct Registry {
 impl std::fmt::Debug for Registry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Registry")
-            .field("shards", &self.shards.len())
             .field("entries", &self.len())
             .field("runs", &self.characterization_runs())
             .finish()
@@ -146,16 +165,17 @@ impl std::fmt::Debug for Registry {
 
 impl Default for Registry {
     fn default() -> Self {
-        Registry::new(DEFAULT_SHARDS)
+        Registry::new()
     }
 }
 
 impl Registry {
-    /// Creates an empty registry with `shards` independent shards (at
-    /// least one).
-    pub fn new(shards: usize) -> Self {
+    /// Creates an empty registry.
+    pub fn new() -> Self {
         Registry {
-            shards: (0..shards.max(1)).map(|_| Shard::new()).collect(),
+            entries: RwLock::new(HashMap::new()),
+            inflight: Mutex::new(HashSet::new()),
+            cond: Condvar::new(),
             runs: AtomicU64::new(0),
             quarantined: RwLock::new(HashSet::new()),
         }
@@ -180,20 +200,14 @@ impl Registry {
     /// path: a device that crashed and lost local state re-joins the
     /// fleet as a stranger. Returns whether an entry existed.
     pub fn remove(&self, device: &DeviceProfile) -> bool {
-        let key = fingerprint(device);
-        let shard = self.shard_for(key);
-        shard.meta.write().remove(&key.0);
-        self.quarantined.write().remove(&key.0);
-        shard.cache.write().remove(&key.0).is_some()
-    }
-
-    fn shard_for(&self, key: DeviceKey) -> &Shard {
-        &self.shards[(key.0 as usize) % self.shards.len()]
+        let key = fingerprint(device).0;
+        self.quarantined.write().remove(&key);
+        self.entries.write().remove(&key).is_some()
     }
 
     /// Number of cached characterizations.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(|s| s.cache.read().len()).sum()
+        self.entries.read().len()
     }
 
     /// Whether the registry is empty.
@@ -209,8 +223,27 @@ impl Registry {
 
     /// Cached characterization for `device`, if present.
     pub fn get(&self, device: &DeviceProfile) -> Option<Arc<DeviceCharacterization>> {
-        let key = fingerprint(device);
-        self.shard_for(key).cache.read().get(&key.0).cloned()
+        self.cached(fingerprint(device).0)
+    }
+
+    fn cached(&self, key: u64) -> Option<Arc<DeviceCharacterization>> {
+        let entries = self.entries.read();
+        entries.get(&key).map(|e| e.characterization.clone())
+    }
+
+    /// Publishes an entry, returning the characterization it replaced.
+    fn publish(
+        &self,
+        key: u64,
+        characterization: Arc<DeviceCharacterization>,
+        meta: Option<EntryMeta>,
+    ) -> Option<Arc<DeviceCharacterization>> {
+        let entry = Entry {
+            characterization,
+            meta,
+        };
+        let previous = self.entries.write().insert(key, entry);
+        previous.map(|e| e.characterization)
     }
 
     /// Inserts a characterization directly (used by warm starts and
@@ -224,11 +257,7 @@ impl Registry {
         device: &DeviceProfile,
         characterization: DeviceCharacterization,
     ) -> Option<Arc<DeviceCharacterization>> {
-        let key = fingerprint(device);
-        self.shard_for(key)
-            .cache
-            .write()
-            .insert(key.0, Arc::new(characterization))
+        self.publish(fingerprint(device).0, Arc::new(characterization), None)
     }
 
     /// Inserts a characterization together with its provenance meta.
@@ -239,19 +268,17 @@ impl Registry {
         characterization: DeviceCharacterization,
         meta: EntryMeta,
     ) -> Option<Arc<DeviceCharacterization>> {
-        let key = fingerprint(device);
-        let shard = self.shard_for(key);
-        shard.meta.write().insert(key.0, meta);
-        shard
-            .cache
-            .write()
-            .insert(key.0, Arc::new(characterization))
+        self.publish(
+            fingerprint(device).0,
+            Arc::new(characterization),
+            Some(meta),
+        )
     }
 
     /// Provenance meta for `device`'s entry, if the entry has any.
     pub fn meta(&self, device: &DeviceProfile) -> Option<EntryMeta> {
-        let key = fingerprint(device);
-        self.shard_for(key).meta.read().get(&key.0).cloned()
+        let entries = self.entries.read();
+        entries.get(&fingerprint(device).0)?.meta.clone()
     }
 
     /// All fully-measured entries (confidence `1.0`, see [`EntryMeta`])
@@ -262,35 +289,78 @@ impl Registry {
     /// meta are excluded, so transfer is always anchored to real
     /// micro-benchmark runs and never chains.
     pub fn measured_neighbors(&self) -> Vec<NeighborSample> {
-        let mut keyed: Vec<(u64, NeighborSample)> = Vec::new();
-        for shard in &self.shards {
-            let meta = shard.meta.read();
-            let cache = shard.cache.read();
-            let quarantined = self.quarantined.read();
-            for (key, m) in meta.iter() {
-                if m.confidence >= 1.0 && !quarantined.contains(key) {
-                    if let Some(c) = cache.get(key) {
-                        keyed.push((
-                            *key,
-                            NeighborSample {
-                                source: *key,
-                                features: m.features.clone(),
-                                characterization: (**c).clone(),
-                            },
-                        ));
-                    }
-                }
-            }
+        let entries = self.entries.read();
+        let quarantined = self.quarantined.read();
+        let mut neighbors: Vec<NeighborSample> = entries
+            .iter()
+            .filter(|(key, _)| !quarantined.contains(key))
+            .filter_map(|(key, entry)| {
+                let meta = entry.meta.as_ref().filter(|m| m.confidence >= 1.0)?;
+                Some(NeighborSample {
+                    source: *key,
+                    features: meta.features.clone(),
+                    characterization: (*entry.characterization).clone(),
+                })
+            })
+            .collect();
+        neighbors.sort_by_key(|n| n.source);
+        neighbors
+    }
+
+    /// Resolves a registry miss for `device`: interpolate from the
+    /// measured neighbors when transfer is confident, otherwise run
+    /// `measure`. The returned meta carries the transfer confidence
+    /// (`< 1`) or marks the entry as measured (`1.0`), which controls
+    /// whether it may serve as a future neighbor.
+    ///
+    /// Interpolation runs through the Byzantine-robust path
+    /// ([`robust_transfer_characterization`]): sources whose values
+    /// violate board physics are quarantined here on the spot, and up to
+    /// f of 2f + 1 plausible-but-lying neighbors cannot move any
+    /// transferred field outside the honest range.
+    ///
+    /// Call it from inside a [`Registry::get_or_characterize_with`]
+    /// closure, which runs without any registry lock held.
+    pub fn transfer_or_measure(
+        &self,
+        device: &DeviceProfile,
+        policy: &TransferPolicy,
+        measure: impl FnOnce(&DeviceProfile) -> DeviceCharacterization,
+    ) -> Miss {
+        let features = fingerprint_features(device);
+        let neighbors = self.measured_neighbors();
+        let had_neighbors = !neighbors.is_empty();
+        let outcome = robust_transfer_characterization(&device.name, &features, &neighbors, policy);
+        let newly_quarantined: Vec<u64> = outcome
+            .rejected_sources
+            .into_iter()
+            .filter(|source| self.quarantine_source(*source))
+            .collect();
+        match outcome.transferred {
+            Some(transferred) => Miss {
+                characterization: transferred.characterization,
+                meta: EntryMeta {
+                    features,
+                    confidence: transferred.confidence,
+                },
+                resolution: MissResolution::Transferred,
+                newly_quarantined,
+            },
+            None => Miss {
+                characterization: measure(device),
+                meta: EntryMeta::measured(features),
+                resolution: MissResolution::Measured { had_neighbors },
+                newly_quarantined,
+            },
         }
-        keyed.sort_by_key(|(k, _)| *k);
-        keyed.into_iter().map(|(_, s)| s).collect()
     }
 
     /// Returns the characterization for `device`, running `characterize`
     /// at most once per device across all threads.
     ///
     /// Concurrent callers for the same device coalesce: one runs the
-    /// closure, the rest block on the shard condvar and share the result.
+    /// closure, the rest block on the registry condvar and share the
+    /// result.
     /// If the running closure panics, the claim is released and a waiter
     /// takes over, so a poisoned attempt never wedges the key.
     pub fn get_or_characterize<F>(
@@ -309,9 +379,11 @@ impl Registry {
     /// entry (feature vector + confidence, consumed by
     /// [`Registry::measured_neighbors`] and the fleet transfer path).
     ///
-    /// The closure runs without any shard lock held, so it may itself
-    /// query the registry — e.g. [`Registry::measured_neighbors`] for
-    /// transfer interpolation — without deadlocking.
+    /// The closure runs without any registry lock held, so it may itself
+    /// query the registry — e.g. [`Registry::transfer_or_measure`] —
+    /// without deadlocking. The entry and its meta are published
+    /// together, so any reader that can see the entry also sees its
+    /// provenance.
     pub fn get_or_characterize_with<F>(
         &self,
         device: &DeviceProfile,
@@ -320,42 +392,38 @@ impl Registry {
     where
         F: FnOnce(&DeviceProfile) -> (DeviceCharacterization, Option<EntryMeta>),
     {
-        let key = fingerprint(device);
-        let shard = self.shard_for(key);
-
-        if let Some(hit) = shard.cache.read().get(&key.0) {
-            return (hit.clone(), LookupOutcome::Hit);
+        let key = fingerprint(device).0;
+        if let Some(hit) = self.cached(key) {
+            return (hit, LookupOutcome::Hit);
         }
 
         let mut waited = false;
         loop {
-            let mut inflight = shard.inflight.lock();
-            if let Some(hit) = shard.cache.read().get(&key.0) {
+            let mut inflight = self.inflight.lock();
+            if let Some(hit) = self.cached(key) {
                 let outcome = if waited {
                     LookupOutcome::Coalesced
                 } else {
                     LookupOutcome::Hit
                 };
-                return (hit.clone(), outcome);
+                return (hit, outcome);
             }
-            if inflight.insert(key.0) {
+            if inflight.insert(key) {
                 drop(inflight);
-                let claim = InflightClaim { shard, key: key.0 };
+                let claim = InflightClaim {
+                    registry: self,
+                    key,
+                };
                 let (characterization, meta) = characterize(device);
                 let characterization = Arc::new(characterization);
                 self.runs.fetch_add(1, Ordering::Relaxed);
-                // Meta is published before the cache entry so any reader
-                // that can see the entry can also see its provenance.
-                if let Some(meta) = meta {
-                    shard.meta.write().insert(key.0, meta);
-                }
-                shard.cache.write().insert(key.0, characterization.clone());
+                self.publish(key, characterization.clone(), meta);
                 drop(claim);
                 return (characterization, LookupOutcome::Computed);
             }
             // Someone else is characterizing this device: wait for them to
             // either publish the result or abandon the claim.
-            shard.cond.wait(&mut inflight);
+            self.cond.wait(&mut inflight);
             waited = true;
         }
     }
@@ -364,23 +432,14 @@ impl Registry {
     /// where the entry has any).
     pub fn snapshot(&self) -> RegistrySnapshot {
         let mut entries: Vec<RegistryEntry> = self
-            .shards
+            .entries
+            .read()
             .iter()
-            .flat_map(|s| {
-                let meta = s.meta.read();
-                s.cache
-                    .read()
-                    .iter()
-                    .map(|(k, v)| {
-                        let m = meta.get(k);
-                        RegistryEntry {
-                            key: DeviceKey(*k),
-                            characterization: (**v).clone(),
-                            features: m.map(|m| m.features.clone()),
-                            confidence: m.map(|m| m.confidence),
-                        }
-                    })
-                    .collect::<Vec<_>>()
+            .map(|(key, entry)| RegistryEntry {
+                key: DeviceKey(*key),
+                characterization: (*entry.characterization).clone(),
+                features: entry.meta.as_ref().map(|m| m.features.clone()),
+                confidence: entry.meta.as_ref().map(|m| m.confidence),
             })
             .collect();
         entries.sort_by_key(|e| e.key);
@@ -413,22 +472,19 @@ impl Registry {
             let mut set = self.quarantined.write();
             set.extend(quarantined.into_iter().map(|k| k.0));
         }
+        let mut entries = self.entries.write();
         for entry in snapshot.entries {
-            let shard = self.shard_for(entry.key);
-            let mut cache = shard.cache.write();
-            if cache.contains_key(&entry.key.0) {
-                continue;
-            }
-            if let (Some(features), Some(confidence)) = (entry.features, entry.confidence) {
-                shard.meta.write().insert(
-                    entry.key.0,
-                    EntryMeta {
-                        features,
-                        confidence,
-                    },
-                );
-            }
-            cache.insert(entry.key.0, Arc::new(entry.characterization));
+            let meta = match (entry.features, entry.confidence) {
+                (Some(features), Some(confidence)) => Some(EntryMeta {
+                    features,
+                    confidence,
+                }),
+                _ => None,
+            };
+            entries.entry(entry.key.0).or_insert_with(|| Entry {
+                characterization: Arc::new(entry.characterization),
+                meta,
+            });
         }
     }
 
@@ -539,7 +595,7 @@ mod tests {
 
     #[test]
     fn distinct_devices_get_distinct_entries() {
-        let registry = Registry::new(2);
+        let registry = Registry::new();
         for device in [
             DeviceProfile::jetson_nano(),
             DeviceProfile::jetson_tx2(),

@@ -16,8 +16,7 @@ use std::time::Instant;
 
 use icomm_core::recommend_for_device;
 use icomm_microbench::{
-    characterize_device, fingerprint_features, quick_characterize_device,
-    robust_transfer_characterization, DeviceCharacterization, TransferPolicy,
+    characterize_device, quick_characterize_device, DeviceCharacterization, TransferPolicy,
 };
 use icomm_models::CommModelKind;
 use icomm_soc::DeviceProfile;
@@ -29,7 +28,7 @@ use crate::catalog;
 use crate::engine::{BatchHandle, Engine, EngineConfig};
 use crate::metrics::{Metrics, MetricsSnapshot};
 use crate::protocol::{TuneRequest, TuneResponse};
-use crate::registry::{EntryMeta, Registry};
+use crate::registry::{EntryMeta, LookupOutcome, MissResolution, Registry};
 
 /// The characterization strategy the service runs on a registry miss.
 pub type CharacterizerFn = Arc<dyn Fn(&DeviceProfile) -> DeviceCharacterization + Send + Sync>;
@@ -39,8 +38,6 @@ pub type CharacterizerFn = Arc<dyn Fn(&DeviceProfile) -> DeviceCharacterization 
 pub struct ServiceConfig {
     /// Worker-pool sizing and per-job policy.
     pub engine: EngineConfig,
-    /// Registry shard count.
-    pub shards: usize,
     /// Characterization to run on a registry miss. Defaults to the full
     /// micro-benchmark sweep ([`characterize_device`]).
     pub characterizer: CharacterizerFn,
@@ -62,7 +59,6 @@ impl fmt::Debug for ServiceConfig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ServiceConfig")
             .field("engine", &self.engine)
-            .field("shards", &self.shards)
             .field("registry_path", &self.registry_path)
             .field("admission", &self.admission)
             .field("transfer", &self.transfer)
@@ -74,7 +70,6 @@ impl Default for ServiceConfig {
     fn default() -> Self {
         ServiceConfig {
             engine: EngineConfig::default(),
-            shards: crate::registry::DEFAULT_SHARDS,
             characterizer: Arc::new(characterize_device),
             registry_path: None,
             admission: None,
@@ -191,7 +186,7 @@ impl TuningService {
     /// names an existing snapshot file.
     pub fn start(config: ServiceConfig) -> Self {
         let metrics = Arc::new(Metrics::new());
-        let registry = Arc::new(Registry::new(config.shards));
+        let registry = Arc::new(Registry::new());
         if let Some(path) = &config.registry_path {
             if path.exists() {
                 // A corrupt snapshot only costs the warm start: count it
@@ -259,28 +254,13 @@ impl TuningService {
         board: &str,
     ) -> Result<Arc<icomm_microbench::DeviceCharacterization>, String> {
         let device = catalog::board_by_name(board)?;
-        let (characterization, lookup) =
-            self.registry
-                .get_or_characterize_with(&device, |device| match &self.transfer {
-                    Some(policy) => characterize_or_transfer(
-                        device,
-                        &self.registry,
-                        &self.metrics,
-                        &self.characterizer,
-                        policy,
-                    ),
-                    None => {
-                        self.metrics
-                            .characterizations
-                            .fetch_add(1, Ordering::Relaxed);
-                        ((self.characterizer)(device), None)
-                    }
-                });
-        if lookup.served_from_cache() {
-            self.metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-        } else {
-            self.metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-        }
+        let (characterization, _) = characterization_for(
+            &device,
+            &self.registry,
+            &self.metrics,
+            &self.characterizer,
+            self.transfer.as_ref(),
+        );
         Ok(characterization)
     }
 
@@ -365,17 +345,9 @@ impl TuningService {
     }
 }
 
-/// On a registry miss with transfer enabled: interpolate from measured
-/// neighbors when confident, otherwise run the real characterizer. The
-/// returned meta carries the transfer confidence (`< 1`) or marks the
-/// entry as measured (`1.0`), which controls whether it may serve as a
-/// future neighbor.
-///
-/// Interpolation runs through the Byzantine-robust path
-/// ([`robust_transfer_characterization`]): sources whose values violate
-/// board physics are quarantined at the registry on the spot, and up to
-/// f of 2f + 1 plausible-but-lying neighbors cannot move any
-/// transferred field outside the honest range.
+/// On a registry miss with transfer enabled: resolve it through
+/// [`Registry::transfer_or_measure`] and count how it went — transfer
+/// hits, fallbacks to measurement, runs, and newly quarantined sources.
 fn characterize_or_transfer(
     device: &DeviceProfile,
     registry: &Registry,
@@ -383,28 +355,49 @@ fn characterize_or_transfer(
     characterizer: &CharacterizerFn,
     policy: &TransferPolicy,
 ) -> (DeviceCharacterization, Option<EntryMeta>) {
-    let features = fingerprint_features(device);
-    let neighbors = registry.measured_neighbors();
-    let had_neighbors = !neighbors.is_empty();
-    let outcome = robust_transfer_characterization(&device.name, &features, &neighbors, policy);
-    for source in &outcome.rejected_sources {
-        if registry.quarantine_source(*source) {
-            metrics.transfer_quarantined.fetch_add(1, Ordering::Relaxed);
-        }
+    let miss = registry.transfer_or_measure(device, policy, |device| {
+        metrics.characterizations.fetch_add(1, Ordering::Relaxed);
+        characterizer(device)
+    });
+    metrics
+        .transfer_quarantined
+        .fetch_add(miss.newly_quarantined.len() as u64, Ordering::Relaxed);
+    match miss.resolution {
+        MissResolution::Transferred => metrics.transfer_hits.fetch_add(1, Ordering::Relaxed),
+        MissResolution::Measured { had_neighbors } => metrics
+            .transfer_fallbacks
+            .fetch_add(u64::from(had_neighbors), Ordering::Relaxed),
+    };
+    (miss.characterization, Some(miss.meta))
+}
+
+/// Fetches `device`'s characterization through the single-flight
+/// registry — transferring or measuring on a miss — and counts the
+/// lookup as a registry hit or miss. Tune requests and the binary
+/// `characterize` opcode both resolve here.
+fn characterization_for(
+    device: &DeviceProfile,
+    registry: &Registry,
+    metrics: &Metrics,
+    characterizer: &CharacterizerFn,
+    transfer: Option<&TransferPolicy>,
+) -> (Arc<DeviceCharacterization>, LookupOutcome) {
+    let (characterization, lookup) =
+        registry.get_or_characterize_with(device, |device| match transfer {
+            Some(policy) => {
+                characterize_or_transfer(device, registry, metrics, characterizer, policy)
+            }
+            None => {
+                metrics.characterizations.fetch_add(1, Ordering::Relaxed);
+                (characterizer(device), None)
+            }
+        });
+    if lookup.served_from_cache() {
+        metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
+    } else {
+        metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
     }
-    if let Some(transferred) = outcome.transferred {
-        metrics.transfer_hits.fetch_add(1, Ordering::Relaxed);
-        let meta = EntryMeta {
-            features,
-            confidence: transferred.confidence,
-        };
-        return (transferred.characterization, Some(meta));
-    }
-    if had_neighbors {
-        metrics.transfer_fallbacks.fetch_add(1, Ordering::Relaxed);
-    }
-    metrics.characterizations.fetch_add(1, Ordering::Relaxed);
-    (characterizer(device), Some(EntryMeta::measured(features)))
+    (characterization, lookup)
 }
 
 /// The per-request pipeline every worker runs: resolve names, fetch or
@@ -440,23 +433,10 @@ fn handle_request(
 
     let characterize_started = Instant::now();
     let (characterization, lookup) =
-        registry.get_or_characterize_with(&device, |device| match transfer {
-            Some(policy) => {
-                characterize_or_transfer(device, registry, metrics, characterizer, policy)
-            }
-            None => {
-                metrics.characterizations.fetch_add(1, Ordering::Relaxed);
-                (characterizer(device), None)
-            }
-        });
+        characterization_for(&device, registry, metrics, characterizer, transfer);
     metrics
         .characterize_latency
         .record(characterize_started.elapsed().as_micros() as u64);
-    if lookup.served_from_cache() {
-        metrics.cache_hits.fetch_add(1, Ordering::Relaxed);
-    } else {
-        metrics.cache_misses.fetch_add(1, Ordering::Relaxed);
-    }
 
     let recommend_started = Instant::now();
     let outcome = recommend_for_device(&device, &characterization, &workload, current);

@@ -589,11 +589,6 @@ impl MemorySystem {
         self.flush_cache_pair(Agent::Gpu, true)
     }
 
-    /// Writes back and invalidates all CPU cache lines.
-    pub fn invalidate_cpu_caches(&mut self) -> FlushCost {
-        self.flush_cache_pair(Agent::Cpu, true)
-    }
-
     /// Invalidates only the GPU L1 (kernel-launch semantics: GPU L1s are
     /// not coherent and are flushed at every launch). Dirty lines are
     /// written back into the LLC, which costs nothing extra here because

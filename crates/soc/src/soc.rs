@@ -206,11 +206,6 @@ impl Soc {
         self.cpu_stats.busy_time += time;
     }
 
-    /// Adds extra GPU busy time (e.g. per-phase pipeline barriers).
-    pub fn charge_gpu_overhead(&mut self, time: Picos) {
-        self.gpu_stats.busy_time += time;
-    }
-
     /// Adds extra copy-engine busy time (e.g. page-migration transfers that
     /// bypass the `copy` API).
     pub fn charge_copy_overhead(&mut self, time: Picos) {

@@ -9,6 +9,7 @@
 //! decider never answers worse than the oracle and never panics on an
 //! out-of-scope query.
 
+use icomm_apps::catalog::board_by_name;
 use icomm_core::{oracle_assignment_capped, CorunTenant};
 use icomm_models::CommModelKind;
 use icomm_soc::units::ByteSize;
@@ -16,7 +17,7 @@ use icomm_soc::DeviceProfile;
 use serde::{Deserialize, Serialize};
 
 use crate::feature::mix_features;
-use crate::sweep::{context_tenants, stock_board};
+use crate::sweep::context_tenants;
 use crate::RuleSet;
 
 /// How a [`MixDecision`] was produced.
@@ -79,7 +80,7 @@ impl RuleDecider {
         cap: Option<ByteSize>,
     ) -> Result<MixDecision, String> {
         let device =
-            stock_board(board).ok_or_else(|| format!("unknown board '{board}' for decide"))?;
+            board_by_name(board).map_err(|_| format!("unknown board '{board}' for decide"))?;
         let tenants = context_tenants(mix)?;
         if self.in_scope(board, mix, cap) {
             if let Some((assignment, rules_used)) =

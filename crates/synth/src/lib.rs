@@ -47,8 +47,7 @@ pub use decider::{DecisionSource, MixDecision, RuleDecider};
 pub use feature::{mix_features, tenant_features, Feature, FeatureVec, FEATURE_COUNT};
 pub use grammar::{enumerate_classes, Atom, Enumeration, EquivClass, Pred};
 pub use sweep::{
-    context_tenants, stock_board, sweep_board, SweepSample, SweepTable, BOARD_NAMES,
-    SWEEP_CAP_BYTES, SWEEP_MIX_NAMES,
+    context_tenants, sweep_board, SweepSample, SweepTable, SWEEP_CAP_BYTES, SWEEP_MIX_NAMES,
 };
 
 /// Configuration of one synthesis run.
@@ -70,7 +69,10 @@ pub struct SynthConfig {
 impl Default for SynthConfig {
     fn default() -> Self {
         SynthConfig {
-            boards: BOARD_NAMES.iter().map(|b| b.to_string()).collect(),
+            boards: icomm_apps::catalog::BOARD_NAMES
+                .iter()
+                .map(|b| b.to_string())
+                .collect(),
             mixes: SWEEP_MIX_NAMES.iter().map(|m| m.to_string()).collect(),
             max_size: 3,
             seed: 42,

@@ -11,24 +11,14 @@
 //! persisted size is the denominator of the compression ratio the rule
 //! set is measured by.
 
+use icomm_apps::catalog::{board_by_name, workload_by_name, APP_NAMES};
 use icomm_core::{oracle_assignment_capped, tenant_demand, CorunTenant};
 use icomm_microbench::{quick_characterize_device, DeviceCharacterization};
 use icomm_models::{candidate_models, CommModelKind};
 use icomm_soc::units::ByteSize;
-use icomm_soc::DeviceProfile;
 use serde::{Deserialize, Serialize};
 
 use crate::feature::mix_features;
-
-/// The stock board names the sweep knows (canonical catalog forms).
-pub const BOARD_NAMES: [&str; 6] = [
-    "nano",
-    "tx2",
-    "xavier",
-    "orin-like",
-    "mi300a-like",
-    "gh-like",
-];
 
 /// Mixes a default sweep visits: the three applications solo, every
 /// named co-run mix uncapped, and the memory-heavy mix under the
@@ -47,19 +37,6 @@ pub const SWEEP_MIX_NAMES: [&str; 8] = [
 /// The cap (bytes) the capped `pressure` context runs under.
 pub const SWEEP_CAP_BYTES: u64 = 6 << 20;
 
-/// Resolves a stock board by its canonical (or aliased) name.
-pub fn stock_board(name: &str) -> Option<DeviceProfile> {
-    match name.to_ascii_lowercase().as_str() {
-        "nano" | "jetson-nano" => Some(DeviceProfile::jetson_nano()),
-        "tx2" | "jetson-tx2" => Some(DeviceProfile::jetson_tx2()),
-        "xavier" | "agx-xavier" | "jetson-agx-xavier" => Some(DeviceProfile::jetson_agx_xavier()),
-        "orin" | "orin-like" => Some(DeviceProfile::orin_like()),
-        "mi300a" | "mi300a-like" => Some(DeviceProfile::mi300a_like()),
-        "gh" | "gh-like" | "grace-hopper-like" => Some(DeviceProfile::gh_like()),
-        _ => None,
-    }
-}
-
 /// Resolves a sweep mix name — a named co-run mix, or `solo:<app>` for
 /// a single-tenant tune context — into its tenant list.
 ///
@@ -68,12 +45,8 @@ pub fn stock_board(name: &str) -> Option<DeviceProfile> {
 /// Returns a message listing the valid names when `mix` is unknown.
 pub fn context_tenants(mix: &str) -> Result<Vec<CorunTenant>, String> {
     if let Some(app) = mix.strip_prefix("solo:") {
-        let workload = match app {
-            "shwfs" => icomm_apps::ShwfsApp::default().workload(),
-            "orb" => icomm_apps::OrbApp::default().workload(),
-            "lane" => icomm_apps::LaneApp::default().workload(),
-            other => return Err(format!("unknown app '{other}' (try shwfs, orb, lane)")),
-        };
+        let workload = workload_by_name(app)
+            .map_err(|_| format!("unknown app '{app}' (try {})", APP_NAMES.join(", ")))?;
         return Ok(vec![CorunTenant {
             name: app.to_string(),
             workload,
@@ -140,7 +113,7 @@ pub fn sweep_board(
     mixes: &[String],
     capped_pressure: bool,
 ) -> Result<(DeviceCharacterization, Vec<SweepSample>, Vec<String>), String> {
-    let device = stock_board(board).ok_or_else(|| format!("unknown board '{board}' for sweep"))?;
+    let device = board_by_name(board).map_err(|_| format!("unknown board '{board}' for sweep"))?;
     let characterization = quick_characterize_device(&device);
     let mut samples = Vec::new();
     let mut skipped = Vec::new();
@@ -207,14 +180,6 @@ impl SweepTable {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_stock_board_resolves() {
-        for name in BOARD_NAMES {
-            assert!(stock_board(name).is_some(), "{name}");
-        }
-        assert!(stock_board("pi5").is_none());
-    }
 
     #[test]
     fn solo_contexts_resolve_to_one_tenant() {

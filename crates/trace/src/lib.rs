@@ -10,11 +10,6 @@
 //!   implementations in `icomm-apps` can emit the accesses they actually
 //!   perform, to be replayed against the simulator.
 //!
-//! On top of patterns, [`phased::PhaseSchedule`] sequences several of them
-//! into a *phased* run — the substrate of the online-adaptation layer
-//! (`icomm-adapt`), which watches an application drift between phases and
-//! re-tunes its communication model mid-run.
-//!
 //! # Example
 //!
 //! ```
@@ -41,9 +36,7 @@
 #![warn(missing_debug_implementations)]
 
 pub mod pattern;
-pub mod phased;
 pub mod tracer;
 
 pub use pattern::{Pattern, PatternIter};
-pub use phased::{PhaseSchedule, PhaseSpec};
 pub use tracer::{CountingTracer, NullTracer, RecordingTracer, Tracer};

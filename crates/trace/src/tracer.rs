@@ -74,11 +74,6 @@ impl RecordingTracer {
         &self.requests
     }
 
-    /// Consumes the recorder, returning the recorded requests.
-    pub fn into_requests(self) -> Vec<MemRequest> {
-        self.requests
-    }
-
     /// Requests dropped because the cap was reached.
     pub fn dropped(&self) -> u64 {
         self.dropped

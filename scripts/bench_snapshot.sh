@@ -1,34 +1,31 @@
 #!/usr/bin/env bash
-# Refreshes the committed behaviour snapshots: runs the criterion fleet,
-# sched, mem, footprint and synthesis benchmarks, then captures the
-# headline numbers into BENCH_fleet.json (p50/p99 serve latency, fleet
-# throughput, warm-start and transfer hit rates), BENCH_sched.json
-# (deadline-miss rates and slowdowns per policy on the contended TX2
-# mix), BENCH_mem.json (the UM-vs-UPM page-size crossover on the
-# coherent boards), BENCH_footprint.json (what a binding memory cap costs
-# the pressure mix on a TX2: demotions, resident bytes, co-run wall) and
-# BENCH_synth.json. Every capture uses fixed seeds, so that JSON is
-# reproducible and diffs in it are real behavior changes. Wall-clock
-# serving figures come from the repository benchmark's serve-json and
-# serve-binary workloads (BENCHMARK.json), not from here.
+# Refreshes the committed behaviour snapshots: captures the headline
+# numbers of fixed-seed CLI runs into BENCH_fleet.json (p50/p99 serve
+# latency, fleet throughput, warm-start and transfer hit rates),
+# BENCH_sched.json (deadline-miss rates and slowdowns per policy on the
+# contended TX2 mix), BENCH_mem.json (the UM-vs-UPM page-size crossover
+# on the coherent boards), BENCH_footprint.json (what a binding memory
+# cap costs the pressure mix on a TX2: demotions, resident bytes, co-run
+# wall) and BENCH_synth.json. Every capture uses fixed seeds, so that
+# JSON is reproducible and diffs in it are real behavior changes.
+# Wall-clock figures come from the repository benchmark's workloads and
+# per-layer ledger (BENCHMARK.json), not from here.
 #
 # With --check, nothing is overwritten: the captures are regenerated
 # into a temporary directory and compared byte for byte with the
-# committed files, and the script exits non-zero if any differs. It runs
-# no criterion benchmark, so it pins the simulator's outputs.
+# committed files, and the script exits non-zero if any differs, so it
+# pins the simulator's outputs.
 #
-# Usage: ./scripts/bench_snapshot.sh [--skip-criterion | --check]
+# Usage: ./scripts/bench_snapshot.sh [--check]
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 
-SKIP_CRITERION=0
 CHECK=0
 case "${1:-}" in
-    --skip-criterion) SKIP_CRITERION=1 ;;
-    --check) SKIP_CRITERION=1; CHECK=1 ;;
+    --check) CHECK=1 ;;
     "") ;;
-    *) echo "usage: $0 [--skip-criterion | --check]" >&2; exit 2 ;;
+    *) echo "usage: $0 [--check]" >&2; exit 2 ;;
 esac
 
 # Where the captures are written: the repository root, or a scratch
@@ -42,19 +39,6 @@ export OUT
 
 echo "==> cargo build --release -p icomm-cli"
 cargo build --release -p icomm-cli
-
-if [[ "$SKIP_CRITERION" -eq 0 ]]; then
-    echo "==> cargo bench -p icomm-bench --bench fleet_scaling"
-    cargo bench -p icomm-bench --bench fleet_scaling
-    echo "==> cargo bench -p icomm-bench --bench sched_scaling"
-    cargo bench -p icomm-bench --bench sched_scaling
-    echo "==> cargo bench -p icomm-bench --bench mem_topology"
-    cargo bench -p icomm-bench --bench mem_topology
-    echo "==> cargo bench -p icomm-bench --bench footprint_assignment"
-    cargo bench -p icomm-bench --bench footprint_assignment
-    echo "==> cargo bench -p icomm-bench --bench rule_synthesis"
-    cargo bench -p icomm-bench --bench rule_synthesis
-fi
 
 echo "==> capturing BENCH_fleet.json (seed 7, 256 devices, nano,tx2,xavier)"
 REPORT="$(target/release/icomm fleet nano,tx2,xavier --devices 256 --seed 7 --json)"

@@ -41,7 +41,6 @@ fn resilient_config() -> ResilienceConfig {
             cooldown: Duration::from_millis(100),
             half_open_probes: 2,
         },
-        hedge_after: None,
         read_timeout: Duration::from_secs(30),
     }
 }
@@ -253,7 +252,6 @@ fn breaker_trips_on_dead_endpoint_and_deadline_bounds_the_failure() {
             cooldown: Duration::from_secs(60),
             half_open_probes: 1,
         },
-        hedge_after: None,
         read_timeout: Duration::from_millis(200),
     };
     let mut client = ResilientClient::with_config(addr, config);

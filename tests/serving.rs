@@ -6,6 +6,7 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
+use icomm::apps::catalog::{board_by_name, workload_by_name, APP_NAMES, BOARD_NAMES};
 use icomm::core::{recommend_for_device, Tuner};
 use icomm::microbench::{quick_characterize_device, DeviceCharacterization};
 use icomm::models::CommModelKind;
@@ -13,39 +14,8 @@ use icomm::net::{NetConfig, Server, WireMode};
 use icomm::serve::{Registry, ServiceConfig, TuneRequest, TuneResponse, TuningService};
 use icomm::soc::DeviceProfile;
 
-const BOARD_NAMES: [&str; 6] = [
-    "nano",
-    "tx2",
-    "xavier",
-    "orin-like",
-    "mi300a-like",
-    "gh-like",
-];
-const APP_NAMES: [&str; 3] = ["shwfs", "orb", "lane"];
-
 fn all_profiles() -> Vec<DeviceProfile> {
     DeviceProfile::extended_boards()
-}
-
-fn profile_by_cli_name(name: &str) -> DeviceProfile {
-    match name {
-        "nano" => DeviceProfile::jetson_nano(),
-        "tx2" => DeviceProfile::jetson_tx2(),
-        "xavier" => DeviceProfile::jetson_agx_xavier(),
-        "orin-like" => DeviceProfile::orin_like(),
-        "mi300a-like" => DeviceProfile::mi300a_like(),
-        "gh-like" => DeviceProfile::gh_like(),
-        other => unreachable!("not a test board: {other}"),
-    }
-}
-
-fn app_workload(name: &str) -> icomm::models::Workload {
-    match name {
-        "shwfs" => icomm::apps::ShwfsApp::default().workload(),
-        "orb" => icomm::apps::OrbApp::default().workload(),
-        "lane" => icomm::apps::LaneApp::default().workload(),
-        other => unreachable!("not a test app: {other}"),
-    }
 }
 
 fn quick_service(workers: usize) -> TuningService {
@@ -109,7 +79,7 @@ fn contended_registry_characterizes_each_device_exactly_once() {
         let characterization = registry.get(device).unwrap();
         let tuner = Tuner::with_characterization(device.clone(), (*characterization).clone());
         for app in APP_NAMES {
-            let workload = app_workload(app);
+            let workload = workload_by_name(app).expect("catalog app resolves");
             let concurrent = recommend_for_device(
                 device,
                 &characterization,
@@ -164,11 +134,12 @@ fn large_batch_over_all_boards_characterizes_each_once() {
 
     // Spot-check every (board, app) pair against the sequential tuner.
     for board in BOARD_NAMES {
-        let device = profile_by_cli_name(board);
+        let device = board_by_name(board).expect("catalog board resolves");
         let tuner =
             Tuner::with_characterization(device.clone(), quick_characterize_device(&device));
         for app in APP_NAMES {
-            let outcome = tuner.recommend(&app_workload(app), CommModelKind::StandardCopy);
+            let workload = workload_by_name(app).expect("catalog app resolves");
+            let outcome = tuner.recommend(&workload, CommModelKind::StandardCopy);
             let rec = &outcome.recommendation;
             let response = responses
                 .iter()

@@ -8,13 +8,13 @@
 
 use std::sync::{Arc, OnceLock};
 
+use icomm::apps::catalog::{board_by_name, BOARD_NAMES};
 use icomm::apps::MIX_NAMES;
 use icomm::core::oracle_assignment;
 use icomm::fleet::{run_fleet, FleetConfig};
 use icomm::soc::units::ByteSize;
 use icomm::synth::{
-    context_tenants, stock_board, synthesize, DecisionSource, RuleDecider, SynthConfig,
-    SynthOutput, BOARD_NAMES,
+    context_tenants, synthesize, DecisionSource, RuleDecider, SynthConfig, SynthOutput,
 };
 
 /// One full-sweep synthesis shared by every test in this file — the
@@ -36,7 +36,7 @@ fn synthesized_rules_reproduce_the_oracle_on_every_board_and_mix() {
     assert!(!out.ruleset.rules.is_empty());
     let decider = RuleDecider::new(out.ruleset.clone());
     for board in BOARD_NAMES {
-        let device = stock_board(board).expect("stock board resolves");
+        let device = board_by_name(board).expect("stock board resolves");
         for mix in MIX_NAMES {
             assert!(
                 decider.in_scope(board, mix, None),
